@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_pareto",
     "nondominated_sort",
     "epsilon_success",
+    "epsilon_cover_prefix",
     "save_pareto_json",
     "load_pareto_json",
     "save_pareto_csv",
@@ -240,15 +241,14 @@ def nondominated_sort(
     return RankedPopulation(objectives=objs, rank=rank, crowding=crowding, solutions=sols)
 
 
-def epsilon_success(
+def _covering_blocks(
     candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
-) -> bool:
-    """True iff the candidate set is a (1+epsilon)-approximation.
+):
+    """Per block of exact points, the (block, candidates) coverage matrix.
 
-    Checks that every exact Pareto objective vector ``p`` has a candidate
-    ``c`` with ``p_m <= (1+epsilon)*c_m`` in all objectives.  Covering the
-    Pareto set suffices: every feasible point is weakly dominated by some
-    Pareto point, so its coverage is implied.
+    Entry [i, c] is True iff candidate ``c`` scaled by (1+epsilon) weakly
+    dominates exact point ``i``.  Validates the inputs first; yields nothing
+    for an empty exact set.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -259,9 +259,10 @@ def epsilon_success(
     if cand.ndim != 2:
         raise ValueError("candidates must be a matrix of objective vectors")
     if exact_objs.shape[0] == 0:
-        return True
+        return
     if cand.shape[0] == 0:
-        return False
+        yield np.zeros((exact_objs.shape[0], 0), dtype=bool)
+        return
     if cand.shape[1] != exact_objs.shape[1]:
         raise ValueError(
             f"objective counts differ: candidates have {cand.shape[1]}, "
@@ -271,10 +272,44 @@ def epsilon_success(
     step = max(1, (1 << 22) // max(1, scaled.shape[0] * scaled.shape[1]))
     for start in range(0, exact_objs.shape[0], step):
         block = exact_objs[start : start + step]
-        covered = (block[:, None, :] <= scaled[None, :, :]).all(axis=2).any(axis=1)
-        if not covered.all():
-            return False
-    return True
+        yield (block[:, None, :] <= scaled[None, :, :]).all(axis=2)
+
+
+def epsilon_success(
+    candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
+) -> bool:
+    """True iff the candidate set is a (1+epsilon)-approximation.
+
+    Checks that every exact Pareto objective vector ``p`` has a candidate
+    ``c`` with ``p_m <= (1+epsilon)*c_m`` in all objectives.  Covering the
+    Pareto set suffices: every feasible point is weakly dominated by some
+    Pareto point, so its coverage is implied.  Scaling by (1+epsilon)
+    preserves dominance, so a set covers exactly when its non-dominated
+    subset does; candidates need no Pareto filtering first.
+    """
+    return all(
+        covered.any(axis=1).all()
+        for covered in _covering_blocks(candidates, exact, epsilon)
+    )
+
+
+def epsilon_cover_prefix(
+    candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
+) -> int | None:
+    """Length of the shortest prefix of ``candidates`` that is a
+    (1+epsilon)-approximation, or None if the whole set is not.
+
+    One pass finds each exact point's first covering candidate; the prefix
+    must reach the latest of them.  Agrees with ``epsilon_success`` on
+    every prefix: ``epsilon_success(candidates[:j], ...)`` holds exactly
+    when ``j`` is at least the returned length.
+    """
+    prefix = 0
+    for covered in _covering_blocks(candidates, exact, epsilon):
+        if not covered.any(axis=1).all():
+            return None
+        prefix = max(prefix, int(covered.argmax(axis=1).max()) + 1)
+    return prefix
 
 
 def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:

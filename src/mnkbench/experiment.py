@@ -35,7 +35,7 @@ from .enumeration import (
     save_pareto_json,
 )
 from .features import FEATURE_COLUMNS, FeatureVector, extract_features
-from .landscape import MNKInstance, generate_instance, load_instance, save_instance
+from .landscape import generate_instance, load_instance, save_instance
 from .optimizers import REFERENCE_DIVISIONS, RunParams, mboa_run, nsga3_run
 from .seeds import derive_seed
 
@@ -227,27 +227,10 @@ def cmd_enumerate(config: ExperimentConfig, jobs: int = 1) -> list[str]:
 # ---------------------------------------------------------------------------
 # optimizer campaigns
 
-# Keyed by instance id alone, so it is only valid within one campaign:
-# cmd_run empties it before any task runs (and before pool workers fork).
-_WORKER_CACHE: dict[str, tuple[MNKInstance, object]] = {}
-_WORKER_CACHE_LIMIT = 8  # tasks arrive grouped by instance; a handful suffices
-
-
-def _load_pair(config: ExperimentConfig, instance_id: str):
-    cached = _WORKER_CACHE.get(instance_id)
-    if cached is None:
-        instance = load_instance(_instance_path(config, instance_id))
-        pareto = load_pareto_json(_pareto_path(config, instance_id))
-        cached = (instance, pareto)
-        while len(_WORKER_CACHE) >= _WORKER_CACHE_LIMIT:
-            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
-        _WORKER_CACHE[instance_id] = cached
-    return cached
-
-
 def _run_one(config_doc: dict, algorithm: str, instance_id: str, run_index: int) -> str:
     config = ExperimentConfig(**config_doc)
-    instance, pareto = _load_pair(config, instance_id)
+    instance = load_instance(_instance_path(config, instance_id))
+    pareto = load_pareto_json(_pareto_path(config, instance_id))
     seed = derive_seed(config.master_seed, instance_id, algorithm, run_index)
     params = config.run_params(seed)
     if algorithm == "mboa":
@@ -267,11 +250,13 @@ def _run_one(config_doc: dict, algorithm: str, instance_id: str, run_index: int)
         "generations": result.generations,
     }
     path = _run_path(config, algorithm, instance_id, run_index)
-    _atomic_json(path, record)
+    # the model goes first: a record on disk marks the run complete, so a
+    # crash in between must leave the run to be redone, not a bare record
     if algorithm == "mboa" and result.success and result.model is not None:
         structure, cpts = result.model
         model_path = path.with_suffix(".model.json")
         _atomic(model_path, lambda tmp: save_network_json(structure, cpts, tmp))
+    _atomic_json(path, record)
     return f"{algorithm}/{instance_id}/{run_index}"
 
 
@@ -295,7 +280,6 @@ def cmd_run(config: ExperimentConfig, algorithm: str, jobs: int = 1) -> int:
     ids = instance_ids(config)
     _require_instances(config, ids)
     cmd_enumerate(config, jobs=jobs)
-    _WORKER_CACHE.clear()
     tasks = [
         (config.to_dict(), algorithm, iid, run)
         for iid in ids
@@ -432,17 +416,28 @@ def cmd_regress(config: ExperimentConfig, censored_mode: str = "exclude") -> Pat
 
 
 def cmd_pmf_view(config: ExperimentConfig) -> list[Path]:
-    """Probabilistic Pareto-front views from successful EDA-run models."""
+    """Probabilistic Pareto-front views from successful EDA-run models.
+
+    Every successful EDA run that completed a generation must have its
+    model on disk; a run that succeeded on its initial population learned
+    none and is skipped.
+    """
     out_dir = _dir(config, "reports") / "pmf_view"
     written = []
     for instance_id in sorted(instance_ids(config)):
         models = []
         for run in range(config.runs_per_instance):
-            model_path = _run_path(config, "mboa", instance_id, run).with_suffix(
-                ".model.json"
-            )
+            record_path = _run_path(config, "mboa", instance_id, run)
+            model_path = record_path.with_suffix(".model.json")
             if model_path.exists():
                 models.append(load_network_json(model_path))
+            elif record_path.exists():
+                doc = json.loads(record_path.read_text(encoding="utf-8"))
+                if doc["success"] and doc["generations"] > 0:
+                    raise FileNotFoundError(
+                        f"missing model {model_path} of successful run {record_path}; "
+                        "delete the run record and redo it with 'run mboa'"
+                    )
         if not models:
             continue
         pareto = load_pareto_json(_pareto_path(config, instance_id))

@@ -147,7 +147,9 @@ def monte_carlo_hypervolume(
     # blocks, which keeps large fronts tractable
     screen = pts[np.argsort(-pts.sum(axis=1), kind="stable")]
     hits = 0
-    step = max(1, (1 << 21) // max(1, pts.shape[1]))
+    # draws per batch: the stream is the same for any batch size, which only
+    # bounds the (batch, 128, M) comparison temporary (about 8 MB)
+    step = max(1, (1 << 16) // max(1, pts.shape[1]))
     remaining = samples
     while remaining > 0:
         batch = min(step, remaining)

@@ -1,13 +1,14 @@
 """The two instrumented optimizers: a Bayesian-network EDA and an
 NSGA-III-style genetic baseline.
 
-Both maximize all objectives of an MNK instance, count every fitness
-evaluation, and test for success (the population's non-dominated subset
-forming a (1+epsilon)-approximation of the exact Pareto set) after the
-initial population and after each generation's batch of new evaluations.
-The last batch before the budget runs out is truncated to the remaining
-evaluations, so a run that never succeeds consumes and reports exactly
-``evaluations = t_max``.
+Both run the same generational loop (``_evolve``), maximize all
+objectives of an MNK instance, count every fitness evaluation, and test
+for success (the population forming a (1+epsilon)-approximation of the
+exact Pareto set) after the initial population and after each
+generation's batch of new evaluations, with one coverage check of the
+population plus batch per generation.  The last batch before the budget
+runs out is truncated to the remaining evaluations, so a run that never
+succeeds consumes and reports exactly ``evaluations = t_max``.
 
 The EDA's variation is exclusively model sampling: each generation selects
 parents by binary tournament, learns a Bayesian network (K2 structure on a
@@ -35,6 +36,7 @@ from .bayesnet import sample as bn_sample
 from .enumeration import (
     ParetoSet,
     RankedPopulation,
+    epsilon_cover_prefix,
     epsilon_success,
     nondominated_sort,
     pareto_mask,
@@ -70,11 +72,13 @@ class RunParams:
     """Shared run parameters for both optimizers.
 
     ``success_cadence`` controls how the success time is recorded: with
-    "per_evaluation" (the default) a successful batch is searched for the
-    exact first evaluation at which coverage held, so runtimes are
-    comparable between algorithms with different batch sizes; "per_batch"
-    records the batch boundary instead.  Which runs succeed is identical
-    under both settings, since coverage only grows within a batch.
+    "per_evaluation" (the default) a successful batch is charged up to the
+    exact first evaluation at which coverage held (one pass finds, for each
+    exact Pareto point, the first solution covering it; the latest of those
+    is the charge), so runtimes are comparable between algorithms with
+    different batch sizes; "per_batch" records the batch boundary instead.
+    Which runs succeed is identical under both settings, since coverage
+    only grows within a batch.
     """
 
     pop_size: int
@@ -147,71 +151,91 @@ def binary_tournament(
     return ranked.solutions[winner]
 
 
-def _initial_population(
-    rng: np.random.Generator, pop_size: int, n_vars: int
-) -> np.ndarray:
-    return rng.integers(0, 2, size=(pop_size, n_vars), dtype=np.uint8)
+def _success_charge(
+    objs: np.ndarray, prev: int, exact: ParetoSet, params: RunParams
+) -> int | None:
+    """Evaluations charged to the newest batch if the pool now covers.
 
-
-def _front_of(bits: np.ndarray, objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = pareto_mask(objs)
-    return bits[mask], objs[mask]
-
-
-def _success_in_batch(
-    prev_bits: np.ndarray | None,
-    prev_objs: np.ndarray | None,
-    batch_bits: np.ndarray,
-    batch_objs: np.ndarray,
-    exact: ParetoSet,
-    params: RunParams,
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Check whether the freshly evaluated batch completes a covering set.
-
-    Returns None when even the full batch leaves the approximation
-    incomplete.  Otherwise returns (j, front bits, front objectives) where
-    j is the number of batch evaluations charged: the full batch under
-    "per_batch" cadence, or the smallest prefix whose union with the
-    previous population already covers (found by binary search; coverage
-    is monotone in the prefix length).
+    ``objs`` stacks the previous population (its first ``prev`` rows) and
+    the freshly evaluated batch.  Returns None when the pool is not a
+    (1+epsilon)-approximation.  Otherwise "per_batch" charges the whole
+    batch and "per_evaluation" the shortest batch prefix whose union with
+    the previous population covers, at least one evaluation.
     """
-
-    def stacked(j: int) -> tuple[np.ndarray, np.ndarray]:
-        if prev_objs is None:
-            return batch_bits[:j], batch_objs[:j]
-        return (
-            np.vstack([prev_bits, batch_bits[:j]]),
-            np.vstack([prev_objs, batch_objs[:j]]),
-        )
-
-    def covers(j: int) -> bool:
-        _, objs = stacked(j)
-        return epsilon_success(objs[pareto_mask(objs)], exact, params.epsilon)
-
-    size = batch_objs.shape[0]
-    if not covers(size):
+    if not epsilon_success(objs, exact, params.epsilon):
         return None
     if params.success_cadence == "per_batch":
-        charged = size
-    else:
-        lo, hi = 1, size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if covers(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        charged = lo
-    bits, objs = stacked(charged)
-    front_bits, front_objs = _front_of(bits, objs)
-    return charged, front_bits, front_objs
+        return objs.shape[0] - prev
+    return max(1, epsilon_cover_prefix(objs, exact, params.epsilon) - prev)
 
 
-def _check_exact(instance: MNKInstance, exact: ParetoSet) -> None:
+# (ranked population, batch size, rng) -> (new solutions, model they came from)
+Propose = Callable[
+    [RankedPopulation, int, np.random.Generator],
+    tuple[np.ndarray, tuple[BNStructure, CPTs] | None],
+]
+# (merged bits, merged objectives, their ranking, rng) -> next population
+Survive = Callable[
+    [np.ndarray, np.ndarray, RankedPopulation, np.random.Generator],
+    tuple[np.ndarray, np.ndarray],
+]
+
+
+def _evolve(
+    instance: MNKInstance,
+    exact: ParetoSet,
+    params: RunParams,
+    batch_size: int,
+    propose: Propose,
+    survive: Survive,
+    on_generation: GenerationHook | None,
+) -> RunResult:
+    """The generational loop both optimizers share.
+
+    Evaluates a random initial population, then per generation proposes a
+    batch of ``batch_size`` new solutions (the last one cut to the
+    remaining budget), tests the population plus batch for success, and
+    merges and truncates back to ``pop_size`` by ``survive``.  One random
+    stream seeded by ``params.seed`` feeds the initial population, then
+    ``propose`` and ``survive`` in turn.
+    """
     if exact.instance_id != instance.id:
         raise ValueError(
             f"Pareto set belongs to {exact.instance_id!r}, not {instance.id!r}"
         )
+    rng = np.random.default_rng(params.seed)
+    bits = rng.integers(0, 2, size=(params.pop_size, instance.n_vars), dtype=np.uint8)
+    objs = evaluate_batch(instance, bits)
+    prev = 0  # rows of (bits, objs) that precede the newest batch
+    evaluations = generation = 0
+    model = None
+    while True:
+        charged = _success_charge(objs, prev, exact, params)
+        if charged is not None:
+            bits, objs = bits[: prev + charged], objs[: prev + charged]
+            evaluations += charged
+            break
+        evaluations += objs.shape[0] - prev
+        assert evaluations == min(params.pop_size + generation * batch_size, params.t_max)
+        if generation:
+            bits, objs = survive(bits, objs, nondominated_sort(objs, bits), rng)
+            if on_generation is not None:
+                on_generation(generation, bits, objs)
+        if evaluations >= params.t_max:
+            break
+        # the final batch shrinks to the remaining budget, so a failed run
+        # consumes exactly t_max evaluations
+        batch = min(batch_size, params.t_max - evaluations)
+        new_bits, model = propose(nondominated_sort(objs, bits), batch, rng)
+        new_objs = evaluate_batch(instance, new_bits)
+        generation += 1
+        prev = objs.shape[0]
+        bits = np.vstack([bits, new_bits])
+        objs = np.vstack([objs, new_objs])
+    front = pareto_mask(objs)
+    return RunResult(
+        charged is not None, evaluations, generation, bits[front], objs[front], model
+    )
 
 
 def mboa_run(
@@ -222,63 +246,29 @@ def mboa_run(
 ) -> RunResult:
     """Run the Bayesian-network EDA until success or budget exhaustion.
 
-    Deterministic given ``params.seed``.  ``on_generation`` (if given) is
-    called with (generation, population bits, population objectives) after
-    each survival selection; intended for instrumentation.
+    Each generation selects ``pgm_size`` parents by binary tournament,
+    learns a network on a fresh random variable ordering, samples
+    ``sample_size`` solutions from it, and keeps the best ``pop_size`` of
+    old and new by (front rank, crowding distance, index).  Deterministic
+    given ``params.seed``.  ``on_generation`` (if given) is called with
+    (generation, population bits, population objectives) after each
+    survival selection; intended for instrumentation.
     """
-    _check_exact(instance, exact)
-    rng = np.random.default_rng(params.seed)
-    n = instance.n_vars
-    pop_bits = _initial_population(rng, params.pop_size, n)
-    pop_objs = evaluate_batch(instance, pop_bits)
-    evaluations = params.pop_size
 
-    hit = _success_in_batch(None, None, pop_bits, pop_objs, exact, params)
-    if hit is not None:
-        charged, front_bits, front_objs = hit
-        return RunResult(True, charged, 0, front_bits, front_objs, None)
-
-    model: tuple[BNStructure, CPTs] | None = None
-    generation = 0
-    while evaluations < params.t_max:
-        # the final batch shrinks to the remaining budget, so a failed run
-        # consumes exactly t_max evaluations
-        batch = min(params.sample_size, params.t_max - evaluations)
-        ranked = nondominated_sort(pop_objs, pop_bits)
+    def propose(ranked: RankedPopulation, batch: int, rng: np.random.Generator):
         parents = binary_tournament(ranked, params.pgm_size, rng)
-        ordering = rng.permutation(n)
-        structure = k2_learn(parents, ordering, params.max_parents)
+        structure = k2_learn(parents, rng.permutation(instance.n_vars), params.max_parents)
         cpts = fit_parameters(structure, parents)
-        model = (structure, cpts)
+        return bn_sample(structure, cpts, batch, rng), (structure, cpts)
 
-        sampled_bits = bn_sample(structure, cpts, batch, rng)
-        sampled_objs = evaluate_batch(instance, sampled_bits)
-        generation += 1
+    def survive(bits, objs, ranked: RankedPopulation, rng: np.random.Generator):
+        keep = np.lexsort((np.arange(ranked.size), -ranked.crowding, ranked.rank))
+        keep = keep[: params.pop_size]
+        return bits[keep], objs[keep]
 
-        hit = _success_in_batch(pop_bits, pop_objs, sampled_bits, sampled_objs, exact, params)
-        if hit is not None:
-            charged, front_bits, front_objs = hit
-            return RunResult(
-                True, evaluations + charged, generation, front_bits, front_objs, model
-            )
-        evaluations += batch
-        assert evaluations == min(
-            params.pop_size + generation * params.sample_size, params.t_max
-        )
-
-        merged_bits = np.vstack([pop_bits, sampled_bits])
-        merged_objs = np.vstack([pop_objs, sampled_objs])
-        ranked_merged = nondominated_sort(merged_objs, merged_bits)
-        keep = np.lexsort(
-            (np.arange(ranked_merged.size), -ranked_merged.crowding, ranked_merged.rank)
-        )[: params.pop_size]
-        pop_bits = merged_bits[keep]
-        pop_objs = merged_objs[keep]
-        if on_generation is not None:
-            on_generation(generation, pop_bits, pop_objs)
-
-    front_bits, front_objs = _front_of(pop_bits, pop_objs)
-    return RunResult(False, params.t_max, generation, front_bits, front_objs, model)
+    return _evolve(
+        instance, exact, params, params.sample_size, propose, survive, on_generation
+    )
 
 
 def _simplex_lattice(m: int, divisions: int) -> np.ndarray:
@@ -442,52 +432,21 @@ def nsga3_run(
 
     One generation evaluates ``pop_size`` offspring built by binary
     tournament, uniform crossover (pair probability ``pc``, per-bit 0.5
-    exchange) and per-bit flip mutation with probability ``pm``.
+    exchange) and per-bit flip mutation with probability ``pm``, and keeps
+    ``pop_size`` of old and new by whole fronts plus reference-direction
+    niching.  ``on_generation`` is called as for ``mboa_run``.
     """
-    _check_exact(instance, exact)
     if not 0.0 <= pc <= 1.0 or not 0.0 <= pm <= 1.0:
         raise ValueError("pc and pm must lie in [0, 1]")
-    rng = np.random.default_rng(params.seed)
-    n = instance.n_vars
     directions = reference_directions(instance.m_objectives, params.pop_size)
 
-    pop_bits = _initial_population(rng, params.pop_size, n)
-    pop_objs = evaluate_batch(instance, pop_bits)
-    evaluations = params.pop_size
-
-    hit = _success_in_batch(None, None, pop_bits, pop_objs, exact, params)
-    if hit is not None:
-        charged, front_bits, front_objs = hit
-        return RunResult(True, charged, 0, front_bits, front_objs, None)
-
-    generation = 0
-    while evaluations < params.t_max:
-        batch = min(params.pop_size, params.t_max - evaluations)
-        ranked = nondominated_sort(pop_objs, pop_bits)
+    def propose(ranked: RankedPopulation, batch: int, rng: np.random.Generator):
         mating = binary_tournament(ranked, params.pop_size, rng)
-        children = _variation(mating, pc, pm, rng)[:batch]
-        child_objs = evaluate_batch(instance, children)
-        generation += 1
+        return _variation(mating, pc, pm, rng)[:batch], None
 
-        hit = _success_in_batch(pop_bits, pop_objs, children, child_objs, exact, params)
-        if hit is not None:
-            charged, front_bits, front_objs = hit
-            return RunResult(
-                True, evaluations + charged, generation, front_bits, front_objs, None
-            )
-        evaluations += batch
-        assert evaluations == min(
-            params.pop_size * (generation + 1), params.t_max
-        )
+    def survive(bits, objs, ranked: RankedPopulation, rng: np.random.Generator):
+        return _nsga3_survival(bits, objs, ranked, params.pop_size, directions, rng)
 
-        merged_bits = np.vstack([pop_bits, children])
-        merged_objs = np.vstack([pop_objs, child_objs])
-        ranked_merged = nondominated_sort(merged_objs, merged_bits)
-        pop_bits, pop_objs = _nsga3_survival(
-            merged_bits, merged_objs, ranked_merged, params.pop_size, directions, rng
-        )
-        if on_generation is not None:
-            on_generation(generation, pop_bits, pop_objs)
-
-    front_bits, front_objs = _front_of(pop_bits, pop_objs)
-    return RunResult(False, params.t_max, generation, front_bits, front_objs, None)
+    return _evolve(
+        instance, exact, params, params.pop_size, propose, survive, on_generation
+    )

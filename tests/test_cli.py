@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mnkbench import experiment
 from mnkbench.cli import main
 from mnkbench.enumeration import load_pareto_json
 from mnkbench.experiment import (
@@ -199,6 +200,51 @@ def test_run_ignores_earlier_campaign_with_same_instance_ids(tmp_path):
                     result.evaluations,
                     result.generations,
                 ), f"{algorithm}/{iid}/run {run}"
+
+
+def _successful_model_runs(config):
+    """Run-record paths of successful EDA runs that learned a model."""
+    paths = []
+    for path in sorted((Path(config.output_dir) / "runs" / "mboa").rglob("run-*.json")):
+        if path.name.endswith(".model.json"):
+            continue
+        doc = json.loads(path.read_text())
+        if doc["success"] and doc["generations"] > 0:
+            paths.append(path)
+    return paths
+
+
+def test_run_crash_while_saving_model_leaves_no_record(tmp_path, monkeypatch):
+    config = _tiny_config(tmp_path)
+    cmd_gen(config)
+
+    def crash(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "save_network_json", crash)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_run(config, "mboa")
+    assert _successful_model_runs(config) == []
+    monkeypatch.undo()
+    cmd_run(config, "mboa")  # resume re-runs the interrupted run
+    records = _successful_model_runs(config)
+    assert records
+    for path in records:
+        assert path.with_suffix(".model.json").exists()
+
+
+def test_pmf_view_rejects_missing_model(tmp_path, capsys):
+    config = _tiny_config(tmp_path)
+    cfg_path = _write_config(tmp_path, config)
+    for command in (["gen"], ["run", "mboa"], ["pmf-view"]):
+        assert main(["--config", str(cfg_path), *command]) == 0
+    records = _successful_model_runs(config)
+    assert len(records) >= 2
+    model = records[0].with_suffix(".model.json")
+    model.unlink()
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "pmf-view"]) == 1
+    assert str(model) in capsys.readouterr().err
 
 
 def test_unknown_algorithm_rejected(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mnkbench.enumeration import (
     enumerate_pareto,
@@ -10,6 +12,7 @@ from mnkbench.enumeration import (
 from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import (
     RunParams,
+    _success_charge,
     binary_tournament,
     mboa_run,
     nsga3_run,
@@ -53,6 +56,68 @@ def _result_fields(result):
 def test_params_invariants(overrides):
     with pytest.raises(ValueError):
         _params(**overrides)
+
+
+# --- success charge -----------------------------------------------------------------
+
+
+@st.composite
+def coverage_cases(draw):
+    """(prev, batch, exact, epsilon) on a coarse grid, so ties and
+    duplicate rows are common."""
+    m = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def rows(low, high):
+        count = draw(st.integers(low, high))
+        return np.array(
+            [[draw(value) for _ in range(m)] for _ in range(count)], dtype=np.float64
+        ).reshape(count, m)
+
+    return rows(0, 6), rows(1, 8), rows(0, 5), draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+
+def _brute_force_charge(prev, batch, exact, epsilon):
+    """Smallest j >= 1 with prev + batch[:j] covering, by trying every j."""
+    for j in range(1, batch.shape[0] + 1):
+        if epsilon_success(np.vstack([prev, batch[:j]]), exact, epsilon):
+            return j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_cases())
+# empty prev with a duplicated covering row; prev covers one exact point
+# and the batch's first row the other; nothing covers
+@example(
+    (
+        np.empty((0, 2)),
+        np.array([[0.5, 0.5], [1.0, 1.0], [1.0, 1.0]]),
+        np.array([[1.0, 0.9]]),
+        0.0,
+    )
+)
+@example(
+    (
+        np.array([[1.0, 0.0]]),
+        np.array([[0.0, 1.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, 1.0]]),
+        0.0,
+    )
+)
+@example((np.array([[0.5, 0.5]]), np.array([[0.25, 1.0]]), np.array([[1.0, 1.0]]), 0.1))
+def test_success_charge_is_the_first_covering_prefix(case):
+    prev, batch, exact, epsilon = case
+    pool = np.vstack([prev, batch])
+    expected = _brute_force_charge(prev, batch, exact, epsilon)
+    for cadence, want in (
+        ("per_evaluation", expected),
+        ("per_batch", None if expected is None else batch.shape[0]),
+    ):
+        params = _params(
+            pop_size=1, pgm_size=1, t_max=1, epsilon=epsilon, success_cadence=cadence
+        )
+        assert _success_charge(pool, prev.shape[0], exact, params) == want
 
 
 # --- binary tournament ------------------------------------------------------------

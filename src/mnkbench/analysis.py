@@ -359,10 +359,7 @@ def pareto_pmf_view(
     pmf /= len(models)
     ideal = pareto.objectives.max(axis=0)
     dist = np.sqrt(((pareto.objectives - ideal) ** 2).sum(axis=1))
-    codes = pareto.solutions.astype(np.int64) @ (
-        1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    )
-    order = np.lexsort((codes, dist))
+    order = np.lexsort((pareto.codes, dist))
     return [
         PmfViewEntry(
             bitstring=bits_to_string(pareto.solutions[i]),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 
 ENUMERATION_CAP = 24
 _CHUNK = 1 << 16
+_FORMAT_VERSION = 1
 
 
 class EnumerationCapError(ValueError):
@@ -83,7 +85,8 @@ class ParetoSet:
     """Exact Pareto-optimal solutions of one instance, with objectives.
 
     ``solutions`` is (npo, N) uint8, ``objectives`` the parallel (npo, M)
-    float matrix; rows are sorted lexicographically by bitstring.
+    float matrix; rows are sorted lexicographically by bitstring, so
+    ``codes`` is strictly increasing.
     """
 
     instance_id: str
@@ -106,6 +109,17 @@ class ParetoSet:
     def size(self) -> int:
         return self.solutions.shape[0]
 
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The rows as uint64 integers, variable 0 the most significant bit."""
+        n = self.solutions.shape[1]
+        if n > 64:
+            raise ValueError(f"{n}-bit solutions do not fit a uint64 code")
+        weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+        codes = self.solutions.astype(np.uint64) @ weights
+        codes.flags.writeable = False
+        return codes
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParetoSet):
             return NotImplemented
@@ -124,9 +138,11 @@ def _bit_matrix(codes: np.ndarray, n_vars: int) -> np.ndarray:
 def enumerate_pareto(instance: MNKInstance, cap: int = ENUMERATION_CAP) -> ParetoSet:
     """Exact Pareto set over all 2^N solutions, in lexicographic order.
 
-    Works in chunks: each chunk is evaluated, reduced to its non-dominated
-    subset, and merged with the running archive, so the result does not
-    depend on chunk boundaries.
+    Works in chunks: each chunk is evaluated and reduced to its
+    non-dominated subset, and one filter over the union of those subsets
+    gives the set.  A point dominated anywhere is dominated by a Pareto
+    point, which survives its own chunk, so chunk boundaries do not matter;
+    chunks come in ascending code order and masks keep that order.
     """
     n = instance.n_vars
     if n > cap:
@@ -135,22 +151,20 @@ def enumerate_pareto(instance: MNKInstance, cap: int = ENUMERATION_CAP) -> Paret
             "are only supported for enumerable instances"
         )
     total = 1 << n
-    archive_codes = np.empty(0, dtype=np.uint32)
-    archive_objs = np.empty((0, instance.m_objectives), dtype=np.float64)
+    chunk_codes, chunk_objs = [], []
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
         objs = evaluate_batch(instance, _bit_matrix(codes, n))
         local = pareto_mask(objs)
-        merged_codes = np.concatenate([archive_codes, codes[local]])
-        merged_objs = np.vstack([archive_objs, objs[local]])
-        keep = pareto_mask(merged_objs)
-        archive_codes = merged_codes[keep]
-        archive_objs = merged_objs[keep]
-    order = np.argsort(archive_codes, kind="stable")
+        chunk_codes.append(codes[local])
+        chunk_objs.append(objs[local])
+    codes = np.concatenate(chunk_codes)
+    objs = np.vstack(chunk_objs)
+    keep = pareto_mask(objs)
     return ParetoSet(
         instance_id=instance.id,
-        solutions=_bit_matrix(archive_codes[order], n),
-        objectives=archive_objs[order],
+        solutions=_bit_matrix(codes[keep], n),
+        objectives=objs[keep],
     )
 
 
@@ -314,7 +328,7 @@ def epsilon_cover_prefix(
 
 def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:
     doc = {
-        "format_version": 1,
+        "format_version": _FORMAT_VERSION,
         "instance_id": pareto.instance_id,
         "n": int(pareto.solutions.shape[1]),
         "m": int(pareto.objectives.shape[1]),
@@ -325,17 +339,30 @@ def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:
 
 
 def load_pareto_json(path: str | Path) -> ParetoSet:
+    """Read a Pareto-set file, checking its version, its shapes against
+    ``n`` and ``m``, and the sorted, unique row order."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    solutions = np.array([string_to_bits(s) for s in doc["solutions"]], dtype=np.uint8)
-    if solutions.size == 0:
-        solutions = solutions.reshape(0, doc["n"])
-    return ParetoSet(
+    if doc["format_version"] != _FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: unsupported format_version {doc['format_version']!r} "
+            f"(expected {_FORMAT_VERSION})"
+        )
+    n, m = doc["n"], doc["m"]
+    strings, objectives = doc["solutions"], doc["objectives"]
+    if len(strings) != len(objectives):
+        raise ValueError(f"{path}: {len(strings)} solutions but {len(objectives)} objective rows")
+    if any(len(s) != n for s in strings):
+        raise ValueError(f"{path}: a solution is not {n} bits long")
+    if any(len(row) != m for row in objectives):
+        raise ValueError(f"{path}: an objective row does not have {m} values")
+    pareto = ParetoSet(
         instance_id=doc["instance_id"],
-        solutions=solutions,
-        objectives=np.array(doc["objectives"], dtype=np.float64).reshape(
-            len(doc["objectives"]), doc["m"]
-        ),
+        solutions=np.array([string_to_bits(s) for s in strings], dtype=np.uint8).reshape(-1, n),
+        objectives=np.array(objectives, dtype=np.float64).reshape(-1, m),
     )
+    if np.any(pareto.codes[1:] <= pareto.codes[:-1]):
+        raise ValueError(f"{path}: solutions are not in strictly increasing order")
+    return pareto
 
 
 def save_pareto_csv(pareto: ParetoSet, path: str | Path) -> None:

@@ -10,6 +10,11 @@ adjacency (nconnec, lconnec, kconnec).
 Hypervolume is exact (recursive objective slicing) up to 4 objectives;
 beyond that a seeded Monte Carlo estimate is used, since exact computation
 cost grows super-polynomially with the number of objectives.
+
+The distance and connectivity features work on the packed integer codes of
+the Pareto set (``ParetoSet.codes``), where a Hamming distance is the
+popcount of an XOR.  The three connectivity features are read off one
+minimum spanning tree under Hamming distance.
 """
 
 from __future__ import annotations
@@ -191,17 +196,13 @@ def hypervolume(
     raise ValueError(f"unknown hypervolume method {method!r}")
 
 
-def _hamming_rows(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Hamming distances of the given rows against all rows; (len(rows), npo)."""
-    return (bits[rows][:, None, :] != bits[None, :, :]).sum(axis=2)
-
-
 def pareto_distances(pareto: ParetoSet) -> tuple[float, float]:
     """Mean and maximum Hamming distance over all unordered solution pairs.
 
     A singleton set has no pairs and returns (0, 0).  The mean uses the
     per-bit identity sum_pairs d(a, b) = sum_bits ones_b * zeros_b, which is
-    exact; the maximum scans pairwise rows in chunks.
+    exact; the maximum scans blocks of rows against the rows from the
+    block on, which covers every pair.
     """
     bits = pareto.solutions
     npo = bits.shape[0]
@@ -211,56 +212,13 @@ def pareto_distances(pareto: ParetoSet) -> tuple[float, float]:
     total = int((ones * (npo - ones)).sum())
     pairs = npo * (npo - 1) // 2
     avgd = total / pairs
-    maxd = 0
-    step = max(1, (1 << 24) // max(1, npo * bits.shape[1]))
-    for start in range(0, npo, step):
-        rows = np.arange(start, min(start + step, npo))
-        maxd = max(maxd, int(_hamming_rows(bits, rows).max()))
+    codes = pareto.codes
+    step = max(1, (1 << 20) // npo)
+    maxd = max(
+        int(np.bitwise_count(codes[start : start + step, None] ^ codes[start:]).max())
+        for start in range(0, npo, step)
+    )
     return float(avgd), float(maxd)
-
-
-def _components_at_distance_one(bits: np.ndarray) -> list[int]:
-    """Connected-component sizes of the Hamming-distance-1 graph (BFS)."""
-    npo = bits.shape[0]
-    visited = np.zeros(npo, dtype=bool)
-    sizes = []
-    for start in range(npo):
-        if visited[start]:
-            continue
-        queue = [start]
-        visited[start] = True
-        size = 0
-        while queue:
-            node = queue.pop()
-            size += 1
-            dists = _hamming_rows(bits, np.array([node]))[0]
-            nbrs = np.where((dists <= 1) & ~visited)[0]
-            visited[nbrs] = True
-            queue.extend(nbrs.tolist())
-        sizes.append(size)
-    return sizes
-
-
-def _prim_bottleneck(bits: np.ndarray) -> int:
-    """Largest edge of a minimum spanning tree under Hamming distance.
-
-    Equals the smallest d for which the distance-<=d graph is connected.
-    """
-    npo = bits.shape[0]
-    visited = np.zeros(npo, dtype=bool)
-    visited[0] = True
-    mind = _hamming_rows(bits, np.array([0]))[0].astype(np.int64)
-    high = bits.shape[1] + 1
-    mind[0] = high
-    bottleneck = 0
-    for _ in range(npo - 1):
-        nxt = int(np.argmin(mind))
-        bottleneck = max(bottleneck, int(mind[nxt]))
-        visited[nxt] = True
-        row = _hamming_rows(bits, np.array([nxt]))[0]
-        mind = np.minimum(mind, row)
-        mind[visited] = high
-    return bottleneck
 
 
 def connectivity(pareto: ParetoSet) -> tuple[int, float, int]:
@@ -269,15 +227,43 @@ def connectivity(pareto: ParetoSet) -> tuple[int, float, int]:
     Returns (number of components of the Hamming-distance-1 graph,
     largest component size / npo, minimal distance d making the
     distance-<=d graph connected; 0 for a singleton set).
+
+    All three come from one minimum spanning tree under Hamming distance,
+    grown by Prim's algorithm.  By the cut property the tree edges of
+    length <= d span exactly the components of the distance-<=d graph: the
+    longest edge is the smallest d that connects the set, and cutting the
+    edges longer than 1 leaves the distance-1 components.  Each vertex
+    joins the tree after the vertex it hangs from, so it takes that
+    vertex's component over a short edge and starts a new one otherwise.
     """
     npo = pareto.size
     if npo == 1:
         return 1, 1.0, 0
-    sizes = _components_at_distance_one(pareto.solutions)
-    nconnec = len(sizes)
-    lconnec = max(sizes) / npo
-    kconnec = 1 if nconnec == 1 else _prim_bottleneck(pareto.solutions)
-    return nconnec, lconnec, kconnec
+    codes = pareto.codes
+    # distance from each vertex to the tree, and the tree vertex at it;
+    # vertices in the tree read a distance no code can have
+    dist = np.bitwise_count(codes ^ codes[0])
+    joined = np.iinfo(dist.dtype).max
+    dist[0] = joined
+    nearest = np.zeros(npo, dtype=np.intp)
+    component = np.zeros(npo, dtype=np.intp)
+    nconnec, longest = 1, 0
+    for _ in range(npo - 1):
+        v = int(np.argmin(dist))
+        length = int(dist[v])
+        if length <= 1:
+            component[v] = component[nearest[v]]
+        else:
+            component[v] = nconnec
+            nconnec += 1
+        longest = max(longest, length)
+        dist[v] = joined
+        row = np.bitwise_count(codes ^ codes[v])
+        closer = (row < dist) & (dist != joined)
+        dist[closer] = row[closer]
+        nearest[closer] = v
+    lconnec = int(np.bincount(component).max()) / npo
+    return nconnec, lconnec, max(1, longest)
 
 
 def extract_features(instance: MNKInstance, pareto: ParetoSet) -> FeatureVector:

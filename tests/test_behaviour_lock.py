@@ -2,7 +2,9 @@
 
 Each test hashes a canonical byte serialization of results the program
 produces and compares it with a digest recorded from the code as it stood
-before the optimizer loop was unified.  A refactor or speed-up that keeps
+before the refactor it guards: the optimizer loop's unification for the
+runs, the campaign and the hypervolume, and the spanning-tree connectivity
+for the offline stage.  A refactor or speed-up that keeps
 these digests has kept every locked byte; one that changes them has changed
 behaviour, and the new digest needs a stated reason, not a silent update.
 
@@ -15,7 +17,10 @@ Locked:
   a batch boundary, and are censored with a truncated last batch;
 * every file (instances, Pareto sets, run records, models, reports) of the
   criterion-10 campaign run with ``cmd_all``;
-* ``monte_carlo_hypervolume`` on one fixed M=5 front.
+* ``monte_carlo_hypervolume`` on one fixed M=5 front;
+* the offline stage at N=18, where enumeration runs several chunks: the
+  ``enumerate_pareto`` bytes and (avgd, maxd, nconnec, lconnec, kconnec)
+  of three fronts of 129 to 1,475 points.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import pytest
 
 from mnkbench.enumeration import enumerate_pareto
 from mnkbench.experiment import ExperimentConfig, cmd_all
-from mnkbench.features import monte_carlo_hypervolume
+from mnkbench.features import connectivity, monte_carlo_hypervolume, pareto_distances
 from mnkbench.landscape import generate_instance
 from mnkbench.optimizers import RunParams, mboa_run, nsga3_run
 
@@ -154,3 +159,25 @@ def test_monte_carlo_hypervolume_locked():
         "0x1.832e13277e3a1p-3",
         "0x1.500a1bd685ed9p-13",
     )
+
+
+# (M, K) on generate_instance(7, 18, M, K): fronts of 129, 1,475 and 1,455
+# points with 45, 66 and 456 distance-1 components and kconnec 5, 3 and 4
+OFFLINE_CASES = {
+    (3, 4): "23e0c1d975c6ab1526790026d50a1b17dd073c8aead22adfe84f5e917413d7b5",
+    (5, 4): "a3c7603a525404f5f3723755d61a48bb44d36261efc979daa8e741bda2947d63",
+    (5, 8): "9102fa0bfaa9c56d7ef9b6156d1076e76346eb6bba62e0586b461ebb261a1e54",
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(OFFLINE_CASES))
+def test_offline_stage_locked(m, k):
+    pareto = enumerate_pareto(generate_instance(7, 18, m, k))
+    digest = hashlib.sha256()
+    digest.update(pareto.instance_id.encode())
+    _feed_array(digest, pareto.solutions)
+    _feed_array(digest, pareto.objectives)
+    avgd, maxd = pareto_distances(pareto)
+    nconnec, lconnec, kconnec = connectivity(pareto)
+    digest.update(repr((avgd.hex(), maxd.hex(), nconnec, lconnec.hex(), kconnec)).encode())
+    assert digest.hexdigest() == OFFLINE_CASES[(m, k)]

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnkbench import enumeration
 from mnkbench.enumeration import (
     EnumerationCapError,
     ParetoSet,
@@ -70,16 +73,27 @@ def test_single_optimum_instance():
     assert np.array_equal(pareto.solutions[0], np.ones(8, dtype=np.uint8))
 
 
-def test_matches_pairwise_oracle():
-    inst = generate_instance(3, 10, 2, 2)
+def _assert_matches_pairwise_oracle(inst):
     pareto = enumerate_pareto(inst)
-    codes = np.arange(1 << 10, dtype=np.uint32)
-    shifts = np.arange(9, -1, -1, dtype=np.uint32)
+    n = inst.n_vars
+    codes = np.arange(1 << n, dtype=np.uint32)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     bits = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
     objs = evaluate_batch(inst, bits)
     mask = oracles.pairwise_pareto_mask(objs)
     assert np.array_equal(pareto.solutions, bits[mask])
     assert np.array_equal(pareto.objectives, objs[mask])
+
+
+def test_matches_pairwise_oracle():
+    _assert_matches_pairwise_oracle(generate_instance(3, 10, 2, 2))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_many_chunks_match_pairwise_oracle(monkeypatch, m):
+    # 64-solution chunks make N=10 run sixteen of them
+    monkeypatch.setattr(enumeration, "_CHUNK", 64)
+    _assert_matches_pairwise_oracle(generate_instance(5, 10, m, 3))
 
 
 def test_cap_exceeded():
@@ -89,7 +103,7 @@ def test_cap_exceeded():
 
 
 def test_enumeration_order_independent():
-    # the archive must not depend on the order chunks arrive in; permuting
+    # the Pareto set must not depend on the order chunks arrive in; permuting
     # the full objective matrix and filtering must give the same set
     inst = generate_instance(9, 9, 3, 2)
     pareto = enumerate_pareto(inst)
@@ -252,3 +266,44 @@ def test_pareto_csv_columns(tmp_path):
     first = lines[1].split(",")
     assert set(first[0]) <= {"0", "1"} and len(first[0]) == 6
     assert float(first[1]) == pareto.objectives[0, 0]
+
+
+def _break_doc(doc, how):
+    if how == "version":
+        doc["format_version"] = 2
+    elif how == "row-count":
+        doc["objectives"].pop()
+    elif how == "row-width":
+        doc["objectives"][1].append(0.5)
+    elif how == "bitstring-length":
+        doc["solutions"][2] += "0"
+    elif how == "order":
+        doc["solutions"][0], doc["solutions"][1] = doc["solutions"][1], doc["solutions"][0]
+        doc["objectives"][0], doc["objectives"][1] = doc["objectives"][1], doc["objectives"][0]
+    elif how == "duplicate":
+        doc["solutions"][1] = doc["solutions"][0]
+        doc["objectives"][1] = doc["objectives"][0]
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("version", "format_version"),
+        ("row-count", "objective rows"),
+        ("row-width", "objective row"),
+        ("bitstring-length", "bits long"),
+        ("order", "strictly increasing"),
+        ("duplicate", "strictly increasing"),
+    ],
+)
+def test_load_pareto_json_rejects_malformed_file(tmp_path, how, message):
+    pareto = enumerate_pareto(generate_instance(3, 8, 3, 2))
+    assert pareto.size >= 3
+    path = tmp_path / "pareto.json"
+    save_pareto_json(pareto, path)
+    doc = json.loads(path.read_text())
+    _break_doc(doc, how)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message) as excinfo:
+        load_pareto_json(path)
+    assert str(path) in str(excinfo.value)

@@ -141,6 +141,30 @@ def test_connectivity_matches_union_find_oracle():
         assert connectivity(pareto) == oracles.unionfind_connectivity(pareto.solutions)
 
 
+@st.composite
+def _distinct_rows(draw):
+    n = draw(st.integers(1, 8))
+    codes = draw(
+        st.lists(
+            st.integers(0, (1 << n) - 1), min_size=2, max_size=min(30, 1 << n), unique=True
+        )
+    )
+    shifts = np.arange(n - 1, -1, -1)
+    return [[(code >> s) & 1 for s in shifts] for code in codes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_rows())
+def test_connectivity_matches_union_find_oracle_on_drawn_sets(rows):
+    # distinct rows in any order, not only the sorted sets enumeration gives
+    pareto = _pareto_from_bits(rows)
+    assert connectivity(pareto) == oracles.unionfind_connectivity(pareto.solutions)
+    avgd, maxd = pareto_distances(pareto)
+    expected = oracles.all_pairs_distances(pareto.solutions)
+    assert avgd == pytest.approx(expected[0], abs=1e-12)
+    assert maxd == expected[1]
+
+
 def test_kconnec_one_iff_single_component():
     for seed in range(20):
         inst = generate_instance(seed, 8, 2, 1)

@@ -195,18 +195,6 @@ class RankedPopulation:
         return np.where(self.rank == index)[0]
 
 
-def _domination_matrix(objs: np.ndarray) -> np.ndarray:
-    n = objs.shape[0]
-    dom = np.empty((n, n), dtype=bool)
-    step = max(1, (1 << 22) // max(1, n * objs.shape[1]))
-    for start in range(0, n, step):
-        rows = objs[start : start + step][:, None, :]
-        ge = (rows >= objs[None, :, :]).all(axis=2)
-        gt = (rows > objs[None, :, :]).any(axis=2)
-        dom[start : start + step] = ge & gt
-    return dom
-
-
 def _crowding_distances(front_objs: np.ndarray) -> np.ndarray:
     size = front_objs.shape[0]
     if size <= 2:
@@ -230,13 +218,18 @@ def nondominated_sort(
     """Fast non-dominated sorting with crowding distances.
 
     Peels fronts by maintaining per-member dominator counts against the
-    full pairwise domination matrix.
+    full pairwise domination matrix.  The matrix comes from the coverage
+    check's kernel at epsilon 0, which is plain weak dominance: ``c``
+    strictly dominates ``i`` when it weakly dominates ``i`` and ``i`` does
+    not weakly dominate ``c``, so duplicate rows are mutually
+    non-dominating.
     """
     objs = np.ascontiguousarray(objectives, dtype=np.float64)
     if objs.ndim != 2 or objs.shape[0] == 0:
         raise ValueError("population must be a non-empty 2-D objective matrix")
     n = objs.shape[0]
-    dom = _domination_matrix(objs)
+    covered = np.vstack(list(_covering_blocks(objs, objs, 0.0)))
+    dom = covered.T & ~covered
     counts = dom.sum(axis=0).astype(np.int64)
     rank = np.zeros(n, dtype=np.int32)
     crowding = np.zeros(n, dtype=np.float64)
@@ -261,8 +254,9 @@ def _covering_blocks(
     """Per block of exact points, the (block, candidates) coverage matrix.
 
     Entry [i, c] is True iff candidate ``c`` scaled by (1+epsilon) weakly
-    dominates exact point ``i``.  Validates the inputs first; yields nothing
-    for an empty exact set.
+    dominates exact point ``i``; at epsilon 0 this is plain weak dominance,
+    which ``nondominated_sort`` uses against the population itself.
+    Validates the inputs first; yields nothing for an empty exact set.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -339,25 +333,32 @@ def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:
 
 
 def load_pareto_json(path: str | Path) -> ParetoSet:
-    """Read a Pareto-set file, checking its version, its shapes against
-    ``n`` and ``m``, and the sorted, unique row order."""
+    """Read a Pareto-set file, checking its fields, its version, its shapes
+    against ``n`` and ``m``, its bitstrings, and the sorted, unique row
+    order; every rejection names the file."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc["format_version"] != _FORMAT_VERSION:
+    try:
+        version, instance_id, n, m = doc["format_version"], doc["instance_id"], doc["n"], doc["m"]
+        strings, objectives = doc["solutions"], doc["objectives"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    if version != _FORMAT_VERSION:
         raise ValueError(
-            f"{path}: unsupported format_version {doc['format_version']!r} "
-            f"(expected {_FORMAT_VERSION})"
+            f"{path}: unsupported format_version {version!r} (expected {_FORMAT_VERSION})"
         )
-    n, m = doc["n"], doc["m"]
-    strings, objectives = doc["solutions"], doc["objectives"]
     if len(strings) != len(objectives):
         raise ValueError(f"{path}: {len(strings)} solutions but {len(objectives)} objective rows")
     if any(len(s) != n for s in strings):
         raise ValueError(f"{path}: a solution is not {n} bits long")
     if any(len(row) != m for row in objectives):
         raise ValueError(f"{path}: an objective row does not have {m} values")
+    try:
+        bits = [string_to_bits(s) for s in strings]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     pareto = ParetoSet(
-        instance_id=doc["instance_id"],
-        solutions=np.array([string_to_bits(s) for s in strings], dtype=np.uint8).reshape(-1, n),
+        instance_id=instance_id,
+        solutions=np.array(bits, dtype=np.uint8).reshape(-1, n),
         objectives=np.array(objectives, dtype=np.float64).reshape(-1, m),
     )
     if np.any(pareto.codes[1:] <= pareto.codes[:-1]):

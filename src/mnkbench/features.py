@@ -172,28 +172,18 @@ def monte_carlo_hypervolume(
     return box * frac, stderr
 
 
-def hypervolume(
-    front: np.ndarray,
-    ref: np.ndarray,
-    method: str = "auto",
-    mc_samples: int = 1_000_000,
-    mc_seed: int = 0,
-) -> float:
+def hypervolume(front: np.ndarray, ref: np.ndarray) -> float:
     """Hypervolume of a maximization front relative to ``ref``.
 
-    ``method`` is "exact", "monte-carlo", or "auto" (exact up to
-    ``EXACT_HV_MAX_OBJECTIVES`` objectives, Monte Carlo beyond).
+    Exact up to ``EXACT_HV_MAX_OBJECTIVES`` objectives, the seeded Monte
+    Carlo estimate beyond.
     """
     pts, reference = _validate_front(front, ref)
     if pts.shape[0] == 0:
         return 0.0
-    if method == "auto":
-        method = "exact" if pts.shape[1] <= EXACT_HV_MAX_OBJECTIVES else "monte-carlo"
-    if method == "exact":
+    if pts.shape[1] <= EXACT_HV_MAX_OBJECTIVES:
         return _exact_hv(pts, reference)
-    if method == "monte-carlo":
-        return monte_carlo_hypervolume(pts, reference, mc_samples, mc_seed)[0]
-    raise ValueError(f"unknown hypervolume method {method!r}")
+    return monte_carlo_hypervolume(pts, reference)[0]
 
 
 def pareto_distances(pareto: ParetoSet) -> tuple[float, float]:

@@ -334,9 +334,12 @@ def _normalize(objs_min: np.ndarray) -> np.ndarray:
     intercepts = None
     try:
         beta = np.linalg.solve(extremes, np.ones(m))
-        candidate = 1.0 / beta
-        if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-10):
-            intercepts = candidate
+        # a zero, negative or NaN beta gives no usable intercept, so only an
+        # all-positive beta is inverted (dividing by zero would warn)
+        if np.all(beta > 0):
+            candidate = 1.0 / beta
+            if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-10):
+                intercepts = candidate
     except np.linalg.LinAlgError:
         intercepts = None
     if intercepts is None:

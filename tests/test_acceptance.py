@@ -208,7 +208,7 @@ def test_criterion_05_hypervolume():
     mc_ok = True
     for trial in range(20):
         front = rng.random((int(rng.integers(3, 25)), 3)) * 0.9 + 0.05
-        exact = hypervolume(front, np.zeros(3), method="exact")
+        exact = hypervolume(front, np.zeros(3))
         estimate, stderr = monte_carlo_hypervolume(
             front, np.zeros(3), samples=100_000, seed=600 + trial
         )

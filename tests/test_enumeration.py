@@ -142,9 +142,18 @@ def test_dominance_chain_gives_three_fronts():
     assert np.isinf(ranked.crowding).all()  # singleton fronts
 
 
-def test_front_assignment_matches_peeling_oracle():
-    rng = np.random.default_rng(42)
-    objs = rng.random((1000, 3))
+@pytest.mark.parametrize(
+    "m, decimals",
+    [(2, None), (3, None), (5, None), (8, None), (3, 1)],
+    ids=["m2", "m3", "m5", "m8", "m3-rounded"],
+)
+def test_front_assignment_matches_peeling_oracle(m, decimals):
+    objs = np.random.default_rng(42).random((1000, m))
+    if decimals is not None:
+        # duplicate rows and tied coordinates, where weak and strict
+        # dominance differ
+        objs = np.round(objs, decimals)
+        assert len(np.unique(objs, axis=0)) < len(objs)
     ranked = nondominated_sort(objs)
     assert np.array_equal(ranked.rank, oracles.peel_fronts(objs))
 
@@ -283,6 +292,10 @@ def _break_doc(doc, how):
     elif how == "duplicate":
         doc["solutions"][1] = doc["solutions"][0]
         doc["objectives"][1] = doc["objectives"][0]
+    elif how == "missing-field":
+        del doc["n"]
+    elif how == "bad-character":
+        doc["solutions"][1] = doc["solutions"][1][:-1] + "x"
 
 
 @pytest.mark.parametrize(
@@ -294,6 +307,8 @@ def _break_doc(doc, how):
         ("bitstring-length", "bits long"),
         ("order", "strictly increasing"),
         ("duplicate", "strictly increasing"),
+        ("missing-field", "missing field 'n'"),
+        ("bad-character", "only 0/1"),
     ],
 )
 def test_load_pareto_json_rejects_malformed_file(tmp_path, how, message):

@@ -85,7 +85,7 @@ def test_hv_monotone_under_added_point(front, extra):
 def test_monte_carlo_close_to_exact():
     rng = np.random.default_rng(99)
     front = rng.random((10, 3)) * 0.9 + 0.05
-    exact = hypervolume(front, np.zeros(3), method="exact")
+    exact = hypervolume(front, np.zeros(3))
     estimate, stderr = monte_carlo_hypervolume(front, np.zeros(3), samples=200_000, seed=7)
     assert stderr > 0
     assert abs(estimate - exact) <= 3 * stderr

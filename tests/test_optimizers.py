@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from mnkbench.enumeration import (
 from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import (
     RunParams,
+    _normalize,
     _success_charge,
     binary_tournament,
     mboa_run,
@@ -337,6 +340,16 @@ def test_nsga3_evaluation_accounting():
     assert result.generations == 4
     assert not result.success
     assert result.evaluations == 95
+
+
+def test_normalize_falls_back_without_warning_on_zero_beta():
+    # the extreme points (2,0,0), (2,2,0), (1,1,2) give beta = (0.5, 0, 0.25),
+    # which has no intercept, so the per-objective spread is used
+    block = np.array([[2.0, 2.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 2.0], [2.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        normalized = _normalize(block)
+    assert np.array_equal(normalized, block / 2.0)
 
 
 # --- reference directions ------------------------------------------------------------

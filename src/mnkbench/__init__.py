@@ -67,6 +67,6 @@ from .optimizers import (
     nsga3_run,
     reference_directions,
 )
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_seed
 
 __version__ = "0.1.0"

@@ -86,16 +86,7 @@ class RegressionModel:
     """A fitted linear model: intercept first, then one slope per feature."""
 
     feature_names: tuple[str, ...]
-    transforms: tuple[str, ...]
     coefficients: tuple[float, ...]
-    residual_std: float
-
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        beta = np.asarray(self.coefficients)
-        return beta[0] + xs @ beta[1:]
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,6 @@ def fit_simple(
     xs: np.ndarray,
     ys: np.ndarray,
     name: str = "x",
-    transform: str = "identity",
 ) -> tuple[RegressionModel, ModelStats]:
     """Single-feature OLS.  A zero-variance predictor degrades to the
     intercept-only baseline: slope 0, intercept mean(y), r defined as 0."""
@@ -192,12 +182,8 @@ def fit_simple(
     else:
         beta, *_ = np.linalg.lstsq(_design(xs[:, None]), ys, rcond=None)
     predicted = _design(xs[:, None]) @ beta
-    resid = predicted - ys
     model = RegressionModel(
-        feature_names=(name,),
-        transforms=(transform,),
-        coefficients=tuple(float(b) for b in beta),
-        residual_std=float(np.std(resid)),
+        feature_names=(name,), coefficients=tuple(float(b) for b in beta)
     )
     return model, _stats(ys, predicted)
 
@@ -206,7 +192,6 @@ def fit_multiple(
     xs: np.ndarray,
     ys: np.ndarray,
     names: Sequence[str] | None = None,
-    transforms: Sequence[str] | None = None,
 ) -> tuple[RegressionModel, ModelStats]:
     """OLS with intercept over a feature matrix.
 
@@ -220,8 +205,6 @@ def fit_multiple(
     n, p = xs.shape
     if names is None:
         names = tuple(f"x{i}" for i in range(p))
-    if transforms is None:
-        transforms = ("identity",) * p
     if n < p + 1:
         raise ValueError(f"need at least {p + 1} rows to fit {p} features, got {n}")
     design = _design(xs)
@@ -241,10 +224,7 @@ def fit_multiple(
     beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
     predicted = design @ beta
     model = RegressionModel(
-        feature_names=tuple(names),
-        transforms=tuple(transforms),
-        coefficients=tuple(float(b) for b in beta),
-        residual_std=float(np.std(predicted - ys)),
+        feature_names=tuple(names), coefficients=tuple(float(b) for b in beta)
     )
     return model, _stats(ys, predicted)
 

@@ -204,19 +204,25 @@ def k2_learn(
     return BNStructure(n_vars=n_vars, parents=tuple(parents), ordering=order)
 
 
-def log_joint_pmf(structure: BNStructure, cpts: CPTs, data: np.ndarray) -> np.ndarray:
-    """Log probability of each row of a (rows, N) batch under the network."""
-    data = _as_dataset(data, structure.n_vars)
+def _check_tables(structure: BNStructure, cpts: CPTs) -> None:
+    """Raise unless there is one table per variable, with one row per
+    combination of its parents' values."""
     if len(cpts.tables) != structure.n_vars:
         raise ValueError("CPT count does not match the structure")
-    acc = np.zeros(data.shape[0], dtype=np.float64)
-    for v in range(structure.n_vars):
-        table = cpts.tables[v]
+    for v, table in enumerate(cpts.tables):
         expected = 1 << len(structure.parents[v])
         if table.shape[0] != expected:
             raise ValueError(
                 f"variable {v}: table has {table.shape[0]} rows, structure needs {expected}"
             )
+
+
+def log_joint_pmf(structure: BNStructure, cpts: CPTs, data: np.ndarray) -> np.ndarray:
+    """Log probability of each row of a (rows, N) batch under the network."""
+    data = _as_dataset(data, structure.n_vars)
+    _check_tables(structure, cpts)
+    acc = np.zeros(data.shape[0], dtype=np.float64)
+    for v, table in enumerate(cpts.tables):
         j = _parent_index(data, structure.parents[v])
         acc += np.log(table[j, data[:, v]])
     return acc
@@ -263,10 +269,18 @@ def save_network_json(structure: BNStructure, cpts: CPTs, path: str | Path) -> N
 
 
 def load_network_json(path: str | Path) -> tuple[BNStructure, CPTs]:
+    """Read a network file, checking its fields, the structure and every
+    table against the structure; every rejection names the file."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    parents = tuple(tuple(p) for p in doc["parents"])
-    structure = BNStructure(
-        n_vars=len(parents), parents=parents, ordering=tuple(doc["ordering"])
-    )
-    cpts = CPTs(tables=tuple(np.array(t, dtype=np.float64) for t in doc["cpts"]))
+    try:
+        parents = tuple(tuple(p) for p in doc["parents"])
+        structure = BNStructure(
+            n_vars=len(parents), parents=parents, ordering=tuple(doc["ordering"])
+        )
+        cpts = CPTs(tables=tuple(np.array(t, dtype=np.float64) for t in doc["cpts"]))
+        _check_tables(structure, cpts)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return structure, cpts

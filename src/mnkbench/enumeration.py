@@ -135,7 +135,7 @@ def _bit_matrix(codes: np.ndarray, n_vars: int) -> np.ndarray:
     return ((codes[:, None] >> shifts) & 1).astype(np.uint8)
 
 
-def enumerate_pareto(instance: MNKInstance, cap: int = ENUMERATION_CAP) -> ParetoSet:
+def enumerate_pareto(instance: MNKInstance) -> ParetoSet:
     """Exact Pareto set over all 2^N solutions, in lexicographic order.
 
     Works in chunks: each chunk is evaluated and reduced to its
@@ -145,10 +145,10 @@ def enumerate_pareto(instance: MNKInstance, cap: int = ENUMERATION_CAP) -> Paret
     chunks come in ascending code order and masks keep that order.
     """
     n = instance.n_vars
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"N={n} exceeds the enumeration cap of {cap}; exact Pareto sets "
-            "are only supported for enumerable instances"
+            f"N={n} exceeds the enumeration cap of {ENUMERATION_CAP}; "
+            "exact Pareto sets are only supported for enumerable instances"
         )
     total = 1 << n
     chunk_codes, chunk_objs = [], []

@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 from .analysis import ErtRecord, estimate_ert, pareto_pmf_view, regression_report
 from .bayesnet import load_network_json, save_network_json
 from .enumeration import (
+    ENUMERATION_CAP,
     enumerate_pareto,
     load_pareto_json,
     save_pareto_csv,
@@ -61,7 +62,9 @@ ALGORITHMS = ("mboa", "nsga3")
 class ExperimentConfig:
     """The full experiment grid and algorithm parameters.
 
-    ``t_max`` defaults to floor(2^n_vars / 10) when left unset.
+    ``t_max`` defaults to floor(2^n_vars / 10) when left unset.  Every
+    field is checked on construction, so a bad config fails before any
+    file is written.
     """
 
     master_seed: int = 0
@@ -78,24 +81,25 @@ class ExperimentConfig:
     max_parents: int = 3
     crossover_prob: float = 0.8
     mutation_prob: float = 1.0 / 500.0
-    success_cadence: str = "per_evaluation"
     output_dir: str = "results"
-    enumeration_cap: int = 24
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "m_values", tuple(self.m_values))
-        for name in ("n_vars", "landscapes_per_cell", "pop_size", "pgm_size", "sample_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if not 1 <= self.n_vars <= ENUMERATION_CAP:
+            raise ValueError(f"n_vars must lie in [1, {ENUMERATION_CAP}]")
+        if self.landscapes_per_cell < 1:
+            raise ValueError("landscapes_per_cell must be positive")
         if self.runs_per_instance < 0:
             raise ValueError("runs_per_instance must be non-negative")
         if any(k < 0 or k >= self.n_vars for k in self.k_values):
             raise ValueError("every K must satisfy 0 <= K < n_vars")
         if any(m < 1 for m in self.m_values):
             raise ValueError("every M must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        self.run_params(0)  # the run parameters' own checks
 
     @property
     def resolved_t_max(self) -> int:
@@ -127,7 +131,6 @@ class ExperimentConfig:
             epsilon=self.epsilon,
             seed=seed,
             max_parents=self.max_parents,
-            success_cadence=self.success_cadence,
         )
 
 
@@ -208,7 +211,7 @@ def _require_instances(config: ExperimentConfig, ids: list[str]) -> None:
 def _enumerate_one(config_doc: dict, instance_id: str) -> str:
     config = ExperimentConfig(**config_doc)
     instance = load_instance(_instance_path(config, instance_id))
-    pareto = enumerate_pareto(instance, cap=config.enumeration_cap)
+    pareto = enumerate_pareto(instance)
     json_path = _pareto_path(config, instance_id)
     _atomic(json_path, lambda tmp: save_pareto_json(pareto, tmp))
     _atomic(json_path.with_suffix(".csv"), lambda tmp: save_pareto_csv(pareto, tmp))

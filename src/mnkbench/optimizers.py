@@ -71,14 +71,11 @@ GenerationHook = Callable[[int, np.ndarray, np.ndarray], None]
 class RunParams:
     """Shared run parameters for both optimizers.
 
-    ``success_cadence`` controls how the success time is recorded: with
-    "per_evaluation" (the default) a successful batch is charged up to the
-    exact first evaluation at which coverage held (one pass finds, for each
+    A successful run is charged up to the exact first evaluation at which
+    the pool became a (1+epsilon)-approximation (one pass finds, for each
     exact Pareto point, the first solution covering it; the latest of those
     is the charge), so runtimes are comparable between algorithms with
-    different batch sizes; "per_batch" records the batch boundary instead.
-    Which runs succeed is identical under both settings, since coverage
-    only grows within a batch.
+    different batch sizes.
     """
 
     pop_size: int
@@ -88,7 +85,6 @@ class RunParams:
     epsilon: float
     seed: int
     max_parents: int = 3
-    success_cadence: str = "per_evaluation"
 
     def __post_init__(self) -> None:
         if self.pop_size < 1:
@@ -103,10 +99,6 @@ class RunParams:
             raise ValueError("epsilon must be non-negative")
         if self.max_parents < 0:
             raise ValueError("max_parents must be non-negative")
-        if self.success_cadence not in ("per_evaluation", "per_batch"):
-            raise ValueError(
-                "success_cadence must be 'per_evaluation' or 'per_batch'"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +150,12 @@ def _success_charge(
 
     ``objs`` stacks the previous population (its first ``prev`` rows) and
     the freshly evaluated batch.  Returns None when the pool is not a
-    (1+epsilon)-approximation.  Otherwise "per_batch" charges the whole
-    batch and "per_evaluation" the shortest batch prefix whose union with
-    the previous population covers, at least one evaluation.
+    (1+epsilon)-approximation.  Otherwise it charges the shortest batch
+    prefix whose union with the previous population covers, at least one
+    evaluation.
     """
     if not epsilon_success(objs, exact, params.epsilon):
         return None
-    if params.success_cadence == "per_batch":
-        return objs.shape[0] - prev
     return max(1, epsilon_cover_prefix(objs, exact, params.epsilon) - prev)
 
 

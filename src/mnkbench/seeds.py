@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng"]
+__all__ = ["derive_seed"]
 
 
 def _key_words(key: int | str) -> list[int]:
@@ -37,8 +37,3 @@ def derive_seed(*keys: int | str) -> int:
     for key in keys:
         entropy.extend(_key_words(key))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def derive_rng(*keys: int | str) -> np.random.Generator:
-    """PCG64 generator seeded from :func:`derive_seed` of the key tuple."""
-    return np.random.default_rng(derive_seed(*keys))

@@ -343,6 +343,7 @@ def _paired_ert(records):
     return censored, shared, means
 
 
+@pytest.mark.slow
 def test_criterion_08a_eda_mean_ert_below_baseline(full_scale_campaign):
     config, records = full_scale_campaign
     censored, shared, means = _paired_ert(records)
@@ -357,6 +358,7 @@ def test_criterion_08a_eda_mean_ert_below_baseline(full_scale_campaign):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08b_ruggedness_drives_baseline_runtime(desk_campaign):
     config, records = desk_campaign
     cells: dict = {}

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -253,3 +254,35 @@ def test_network_json_round_trip(tmp_path):
     assert loaded_structure == structure
     for a, b in zip(cpts.tables, loaded_cpts.tables):
         assert np.array_equal(a, b)
+
+
+def _drop_cpts(doc):
+    del doc["cpts"]
+
+
+def _short_cpts(doc):
+    doc["cpts"] = doc["cpts"][:2]
+
+
+def _short_table(doc):
+    doc["cpts"][1] = doc["cpts"][1][:1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_cpts, "missing field 'cpts'"),
+        (_short_cpts, "CPT count does not match the structure"),
+        (_short_table, "variable 1: table has 1 rows, structure needs 2"),
+    ],
+    ids=["missing-cpts", "short-cpts", "short-table"],
+)
+def test_network_json_rejects_malformed_file_naming_it(tmp_path, edit, message):
+    path = tmp_path / "net.json"
+    save_network_json(*_chain3(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_network_json(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -12,9 +12,9 @@ Locked:
 
 * ``RunResult`` fields (success, evaluations, generations, final front bits
   and objectives, model structure and CPTs) and every ``on_generation``
-  call, for both optimizers under both success cadences, on runs that
-  succeed at generation 0, succeed inside a later batch, succeed exactly at
-  a batch boundary, and are censored with a truncated last batch;
+  call, for both optimizers, on runs that succeed at generation 0, succeed
+  inside a later batch, succeed exactly at a batch boundary, and are
+  censored with a truncated last batch;
 * every file (instances, Pareto sets, run records, models, reports) of the
   criterion-10 campaign run with ``cmd_all``;
 * ``monte_carlo_hypervolume`` on one fixed M=5 front;
@@ -63,26 +63,26 @@ RUN_CASES = {
     # both optimizers succeed inside the initial population
     "generation-0": (
         (2, 4, 0.2, 0, 600),
-        "8b661e0ad94335392ab3f4105df35e0de026255453b3b3b791f91dd5d7606b87",
+        "733eab1215f336b4f80bc6b7ad42874a8085f9e38007c19808b3323c5c6a6336",
     ),
     # success inside a later batch, prefix shorter than the batch
     "mid-batch": (
         (3, 2, 0.3, 0, 600),
-        "22e3e7a54212f39d199152ac49593c662c35a86a25b0760533a0c933b141a8e8",
+        "afa02c3d6ce073233de56ba57950ccb5361bfe04a4d0d417991b6fdfa4a7093d",
     ),
     "mid-batch-late": (
         (2, 4, 0.2, 3, 600),
-        "8e769cc99ffb399c82da0e9b12d1e5ff0fa50618f89cdf66569ea2d52d7d66b3",
+        "cd8f72698159733f5f3498f38af53570f5bb1e71b6335fc5c30026b2af5b44c0",
     ),
-    # NSGA-III needs its whole batch: per_evaluation charges the boundary
+    # NSGA-III needs its whole batch, so the charge is the batch boundary
     "batch-boundary": (
         (3, 2, 0.3, 1, 600),
-        "f2d888d5b687045b9dad9c7f7bc8bbcd40ece3c3a50558c780ffc6a6e5949953",
+        "4ebd8d3a9e29e34bdf90dfb61664e6522cd6fe51cee87fc68c4c181c00704e47",
     ),
     # every run censored; the last batch is cut from 32 (or 16) to 6
     "censored-truncated": (
         (2, 4, 0.1, 0, 150),
-        "023fdff18eaa85b92012520044e6b7b4029d9ee0519ba85f729ccbba8d13466e",
+        "7d8cdb8404a64df862d1ee56bb2f0e1719b4137144780ebc6ecc354a4a58af0a",
     ),
 }
 
@@ -97,20 +97,18 @@ def _run_case_digest(m: int, k: int, epsilon: float, seed: int, t_max: int) -> s
         _feed_array(digest, bits)
         _feed_array(digest, objs)
 
-    for cadence in ("per_evaluation", "per_batch"):
-        params = RunParams(
-            pop_size=16,
-            pgm_size=8,
-            sample_size=32,
-            t_max=t_max,
-            epsilon=epsilon,
-            seed=seed,
-            max_parents=2,
-            success_cadence=cadence,
-        )
-        for run in (mboa_run, nsga3_run):
-            digest.update(f"{cadence} {run.__name__}".encode())
-            _feed_result(digest, run(instance, exact, params, on_generation=hook))
+    params = RunParams(
+        pop_size=16,
+        pgm_size=8,
+        sample_size=32,
+        t_max=t_max,
+        epsilon=epsilon,
+        seed=seed,
+        max_parents=2,
+    )
+    for run in (mboa_run, nsga3_run):
+        digest.update(run.__name__.encode())
+        _feed_result(digest, run(instance, exact, params, on_generation=hook))
     return digest.hexdigest()
 
 
@@ -121,7 +119,7 @@ def test_run_results_locked(case):
 
 
 CAMPAIGN_DIGEST = (
-    "8a36bbcf7792a4764a1010c99f6acddc09d632a1db16b58846f4486a81ab7238"
+    "7cadd4520dab4e34d3c15a67410a3f9a4588e4984bf7c1a5dc41b51ead1662ec"
 )
 
 

@@ -382,6 +382,34 @@ def test_config_round_trip(tmp_path):
 
 def test_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"master_seed": 1, "banana": 2}')
-    with pytest.raises(ValueError, match="banana"):
-        ExperimentConfig.from_json(path)
+    # a config written for a deleted field must not load with it ignored
+    for field, value in (
+        ("banana", 2),
+        ("success_cadence", "per_batch"),
+        ("enumeration_cap", 24),
+    ):
+        path.write_text(json.dumps({"master_seed": 1, field: value}))
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pgm_size", 200),
+        ("t_max", 10),
+        ("max_parents", -1),
+        ("crossover_prob", 1.5),
+        ("n_vars", 25),
+    ],
+)
+def test_bad_config_rejected_before_any_work(tmp_path, capsys, field, value):
+    doc = _tiny_config(tmp_path).to_dict()
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "gen"]) == 1
+    assert field in capsys.readouterr().err
+    assert not Path(doc["output_dir"]).exists()

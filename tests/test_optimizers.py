@@ -113,14 +113,8 @@ def test_success_charge_is_the_first_covering_prefix(case):
     prev, batch, exact, epsilon = case
     pool = np.vstack([prev, batch])
     expected = _brute_force_charge(prev, batch, exact, epsilon)
-    for cadence, want in (
-        ("per_evaluation", expected),
-        ("per_batch", None if expected is None else batch.shape[0]),
-    ):
-        params = _params(
-            pop_size=1, pgm_size=1, t_max=1, epsilon=epsilon, success_cadence=cadence
-        )
-        assert _success_charge(pool, prev.shape[0], exact, params) == want
+    params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=epsilon)
+    assert _success_charge(pool, prev.shape[0], exact, params) == expected
 
 
 # --- binary tournament ------------------------------------------------------------
@@ -166,16 +160,12 @@ def test_tournament_count_zero():
 def test_mboa_success_at_initialization_with_huge_epsilon():
     inst = oracles.popcount_instance(10, low=0.1)  # objectives always positive
     exact = enumerate_pareto(inst)
-    result = mboa_run(
-        inst, exact, _params(epsilon=1e6, t_max=1000, success_cadence="per_batch")
-    )
+    result = mboa_run(inst, exact, _params(epsilon=1e6, t_max=1000))
     assert result.success
-    assert result.evaluations == 20  # the whole initial batch is charged
     assert result.generations == 0
     assert result.model is None
-    # under per-evaluation cadence the very first positive solution covers
-    fine = mboa_run(inst, exact, _params(epsilon=1e6, t_max=1000))
-    assert fine.success and fine.evaluations == 1
+    # the very first positive solution covers
+    assert result.evaluations == 1
 
 
 def test_mboa_budget_exhaustion_at_initial_population():

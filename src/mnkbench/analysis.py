@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-FEATURE_ORDER = ("m", "k", "npo", "hv", "avgd", "maxd", "nconnec", "lconnec", "kconnec")
+FEATURE_ORDER = tuple(field.name for field in fields(FeatureVector))
 LOG_FEATURES = frozenset({"m", "k", "npo", "nconnec", "lconnec"})
 
 
@@ -85,7 +85,6 @@ class ModelStats:
 class RegressionModel:
     """A fitted linear model: intercept first, then one slope per feature."""
 
-    feature_names: tuple[str, ...]
     coefficients: tuple[float, ...]
 
 
@@ -167,7 +166,6 @@ def _ols_predict(train_x, train_y, test_x) -> np.ndarray:
 def fit_simple(
     xs: np.ndarray,
     ys: np.ndarray,
-    name: str = "x",
 ) -> tuple[RegressionModel, ModelStats]:
     """Single-feature OLS.  A zero-variance predictor degrades to the
     intercept-only baseline: slope 0, intercept mean(y), r defined as 0."""
@@ -182,9 +180,7 @@ def fit_simple(
     else:
         beta, *_ = np.linalg.lstsq(_design(xs[:, None]), ys, rcond=None)
     predicted = _design(xs[:, None]) @ beta
-    model = RegressionModel(
-        feature_names=(name,), coefficients=tuple(float(b) for b in beta)
-    )
+    model = RegressionModel(coefficients=tuple(float(b) for b in beta))
     return model, _stats(ys, predicted)
 
 
@@ -223,9 +219,7 @@ def fit_multiple(
         )
     beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
     predicted = design @ beta
-    model = RegressionModel(
-        feature_names=tuple(names), coefficients=tuple(float(b) for b in beta)
-    )
+    model = RegressionModel(coefficients=tuple(float(b) for b in beta))
     return model, _stats(ys, predicted)
 
 
@@ -354,13 +348,10 @@ def pareto_pmf_view(
 
 def design_matrix(feature_vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, list[str]]:
     """Transformed design matrix over ``FEATURE_ORDER`` plus its labels."""
-    rows = []
-    for fv in feature_vectors:
-        row = []
-        for name in FEATURE_ORDER:
-            value = float(getattr(fv, name))
-            row.append(math.log(value) if name in LOG_FEATURES else value)
-        rows.append(row)
+    rows = [
+        [math.log(v) if name in LOG_FEATURES else v for name, v in asdict(fv).items()]
+        for fv in feature_vectors
+    ]
     labels = [feature_label(name) for name in FEATURE_ORDER]
     return np.array(rows, dtype=np.float64), labels
 
@@ -429,7 +420,7 @@ def regression_report(
         ]
         feature_rows = []
         for col, label in enumerate(labels):
-            _, fit_stats = fit_simple(xs[:, col], y, name=label)
+            _, fit_stats = fit_simple(xs[:, col], y)
             cv_stats = kfold_cv(xs[:, col : col + 1], y, k_eff, cv_seed)
             feature_rows.append(
                 {

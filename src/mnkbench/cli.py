@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", help="generate the instance grid")
     sub.add_parser("enumerate", help="enumerate exact Pareto sets")
-    sub.add_parser("features", help="write reports/features.csv")
+    sub.add_parser("features", help="write features/<id>.json and reports/features.csv")
     run = sub.add_parser("run", help="execute an optimizer campaign")
     run.add_argument("algorithm", choices=experiment.ALGORITHMS)
     sub.add_parser("ert", help="write reports/ert.csv")
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             done = experiment.cmd_enumerate(config, jobs=args.jobs)
             print(f"enumerated {len(done)} Pareto sets")
         elif args.command == "features":
-            out = experiment.cmd_features(config)
+            out = experiment.cmd_features(config, jobs=args.jobs)
             print(f"wrote {out}")
         elif args.command == "run":
             executed = experiment.cmd_run(config, args.algorithm, jobs=args.jobs)
@@ -90,13 +90,13 @@ def main(argv: list[str] | None = None) -> int:
             out = experiment.cmd_ert(config)
             print(f"wrote {out}")
         elif args.command == "regress":
-            out = experiment.cmd_regress(config, censored_mode=args.censored_mode)
+            out = experiment.cmd_regress(config, args.censored_mode, jobs=args.jobs)
             print(f"wrote {out}")
         elif args.command == "pmf-view":
             written = experiment.cmd_pmf_view(config)
             print(f"wrote {len(written)} pmf views")
         elif args.command == "report":
-            outputs = experiment.cmd_report(config, censored_mode=args.censored_mode)
+            outputs = experiment.cmd_report(config, args.censored_mode, jobs=args.jobs)
             print(f"wrote {len(outputs)} report files under {config.output_dir}/reports")
         elif args.command == "all":
             experiment.cmd_all(config, jobs=args.jobs)

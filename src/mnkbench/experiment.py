@@ -6,13 +6,14 @@ A campaign lives under one output directory:
 * ``pareto/<id>.json`` and ``<id>.csv``: exact Pareto sets;
 * ``runs/<algorithm>/<id>/run-<index>.json``: one record per run, plus
   ``run-<index>.model.json`` for successful EDA runs (the final network);
+* ``features/<id>.json``: the landscape features of one instance;
 * ``reports/``: features.csv, ert.csv, regression.json, pmf_view/*.csv,
   and config.json echoing the resolved configuration.
 
 Every output file is written atomically (temp file + rename) and every
 random stream is derived from the master seed and the task identity, so
-completed (instance, run) pairs can be skipped on resume and the worker
-schedule never affects results.
+completed (instance, run) pairs and feature files can be skipped on
+resume and the worker schedule never affects results.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -168,6 +169,10 @@ def _run_path(config: ExperimentConfig, algorithm: str, instance_id: str, run: i
     return _dir(config, "runs") / algorithm / instance_id / f"run-{run:04d}.json"
 
 
+def _features_path(config: ExperimentConfig, instance_id: str) -> Path:
+    return _dir(config, "features") / f"{instance_id}.json"
+
+
 def _atomic(path: Path, write: Callable[[Path], None]) -> None:
     """Write through a temp file in the same directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -182,6 +187,34 @@ def _atomic_text(path: Path, text: str) -> None:
 
 def _atomic_json(path: Path, doc) -> None:
     _atomic_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _read_json(path: Path, required: tuple[str, ...]) -> dict:
+    """A JSON object holding every ``required`` field; invalid JSON or a
+    missing field raises ValueError naming the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
+    return doc
+
+
+def _read_run_record(path: Path) -> dict:
+    return _read_json(path, ("success", "evaluations", "generations"))
+
+
+def _read_features(path: Path) -> FeatureVector:
+    names = FEATURE_COLUMNS[1:]
+    doc = _read_json(path, names)
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"{path}: unknown field(s) {', '.join(unknown)}")
+    return FeatureVector(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +345,7 @@ def _load_run_records(
             raise FileNotFoundError(
                 f"missing run record {path}; complete the campaign with 'run {algorithm}'"
             )
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _read_run_record(path)
         records.append(_RunRecord(bool(doc["success"]), int(doc["evaluations"])))
     return records
 
@@ -321,19 +354,32 @@ def _float_repr(value) -> str:
     return repr(float(value))
 
 
-def cmd_features(config: ExperimentConfig) -> Path:
-    """Compute the feature table for every instance; writes features.csv."""
-    cmd_enumerate(config, jobs=1)
+def _features_one(config_doc: dict, instance_id: str) -> str:
+    config = ExperimentConfig(**config_doc)
+    instance = load_instance(_instance_path(config, instance_id))
+    pareto = load_pareto_json(_pareto_path(config, instance_id))
+    features = extract_features(instance, pareto)
+    _atomic_json(_features_path(config, instance_id), asdict(features))
+    return instance_id
+
+
+def _load_features(config: ExperimentConfig, jobs: int = 1) -> dict[str, FeatureVector]:
+    """Every instance's features in id order, computing only those not on disk."""
+    cmd_enumerate(config, jobs=jobs)
+    ids = sorted(instance_ids(config))
+    pending = [iid for iid in ids if not _features_path(config, iid).exists()]
+    _map_tasks(_features_one, [(config.to_dict(), iid) for iid in pending], jobs)
+    return {iid: _read_features(_features_path(config, iid)) for iid in ids}
+
+
+def cmd_features(config: ExperimentConfig, jobs: int = 1) -> Path:
+    """Write features.csv, computing the features that are not on disk."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(FEATURE_COLUMNS)
-    for instance_id in sorted(instance_ids(config)):
-        instance = load_instance(_instance_path(config, instance_id))
-        pareto = load_pareto_json(_pareto_path(config, instance_id))
-        row = extract_features(instance, pareto).as_row(instance_id)
-        writer.writerow(
-            [row[0]] + [str(v) if isinstance(v, int) else _float_repr(v) for v in row[1:]]
-        )
+    for instance_id, features in _load_features(config, jobs).items():
+        values = [str(v) if isinstance(v, int) else _float_repr(v) for v in astuple(features)]
+        writer.writerow([instance_id, *values])
     out = _dir(config, "reports") / "features.csv"
     _atomic_text(out, buffer.getvalue())
     return out
@@ -381,30 +427,11 @@ def cmd_ert(config: ExperimentConfig) -> Path:
     return out
 
 
-def _load_features(config: ExperimentConfig) -> dict[str, FeatureVector]:
-    path = _dir(config, "reports") / "features.csv"
-    if not path.exists():
-        cmd_features(config)
-    table = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            table[row["instance_id"]] = FeatureVector(
-                m=int(row["m"]),
-                k=int(row["k"]),
-                npo=int(row["npo"]),
-                hv=float(row["hv"]),
-                avgd=float(row["avgd"]),
-                maxd=float(row["maxd"]),
-                nconnec=int(row["nconnec"]),
-                lconnec=float(row["lconnec"]),
-                kconnec=int(row["kconnec"]),
-            )
-    return table
-
-
-def cmd_regress(config: ExperimentConfig, censored_mode: str = "exclude") -> Path:
+def cmd_regress(
+    config: ExperimentConfig, censored_mode: str = "exclude", jobs: int = 1
+) -> Path:
     """Fit the simple and multiple cost models; writes regression.json."""
-    features = _load_features(config)
+    features = _load_features(config, jobs)
     records = _ert_records(config)
     report = regression_report(
         features,
@@ -435,7 +462,7 @@ def cmd_pmf_view(config: ExperimentConfig) -> list[Path]:
             if model_path.exists():
                 models.append(load_network_json(model_path))
             elif record_path.exists():
-                doc = json.loads(record_path.read_text(encoding="utf-8"))
+                doc = _read_run_record(record_path)
                 if doc["success"] and doc["generations"] > 0:
                     raise FileNotFoundError(
                         f"missing model {model_path} of successful run {record_path}; "
@@ -479,10 +506,13 @@ def _write_config_echo(config: ExperimentConfig) -> None:
     _atomic_json(_dir(config, "reports") / "config.json", doc)
 
 
-def cmd_report(config: ExperimentConfig, censored_mode: str = "exclude") -> list[Path]:
+def cmd_report(
+    config: ExperimentConfig, censored_mode: str = "exclude", jobs: int = 1
+) -> list[Path]:
     """Assemble every analysis output from the run records on disk."""
     _write_config_echo(config)
-    outputs = [cmd_features(config), cmd_ert(config), cmd_regress(config, censored_mode)]
+    outputs = [cmd_features(config, jobs), cmd_ert(config)]
+    outputs.append(cmd_regress(config, censored_mode, jobs))
     outputs.extend(cmd_pmf_view(config))
     return outputs
 
@@ -493,4 +523,4 @@ def cmd_all(config: ExperimentConfig, jobs: int = 1) -> list[Path]:
     cmd_enumerate(config, jobs=jobs)
     for algorithm in ALGORITHMS:
         cmd_run(config, algorithm, jobs=jobs)
-    return cmd_report(config)
+    return cmd_report(config, jobs=jobs)

@@ -19,7 +19,7 @@ minimum spanning tree under Hamming distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,19 +39,6 @@ __all__ = [
 
 EXACT_HV_MAX_OBJECTIVES = 4
 
-FEATURE_COLUMNS = (
-    "instance_id",
-    "m",
-    "k",
-    "npo",
-    "hv",
-    "avgd",
-    "maxd",
-    "nconnec",
-    "lconnec",
-    "kconnec",
-)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -67,19 +54,9 @@ class FeatureVector:
     lconnec: float
     kconnec: int
 
-    def as_row(self, instance_id: str) -> list:
-        return [
-            instance_id,
-            self.m,
-            self.k,
-            self.npo,
-            self.hv,
-            self.avgd,
-            self.maxd,
-            self.nconnec,
-            self.lconnec,
-            self.kconnec,
-        ]
+
+# the header of features.csv: the instance id, then one column per field
+FEATURE_COLUMNS = ("instance_id", *(field.name for field in fields(FeatureVector)))
 
 
 def _validate_front(front: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

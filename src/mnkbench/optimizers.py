@@ -393,8 +393,9 @@ def _nsga3_survival(
     for j in range(n_dirs):
         if j not in pending:
             exhausted[j] = True
+    never = np.iinfo(np.int64).max  # an exhausted direction's count
     while len(selected) < slots:
-        masked = np.where(exhausted, np.iinfo(np.int64).max, counts)
+        masked = np.where(exhausted, never, counts)
         lowest = masked.min()
         candidates = np.where(masked == lowest)[0]
         direction = int(candidates[rng.integers(candidates.size)])

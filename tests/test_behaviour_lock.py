@@ -15,8 +15,11 @@ Locked:
   call, for both optimizers, on runs that succeed at generation 0, succeed
   inside a later batch, succeed exactly at a batch boundary, and are
   censored with a truncated last batch;
-* every file (instances, Pareto sets, run records, models, reports) of the
-  criterion-10 campaign run with ``cmd_all``;
+* every file of the criterion-10 campaign run with ``cmd_all``, under two
+  digests: one over the files outside ``features/`` (instances, Pareto sets,
+  run records, models, reports), which predates the per-instance feature
+  files and so shows that adding them changed no other byte, and one over
+  ``features/``;
 * ``monte_carlo_hypervolume`` on one fixed M=5 front;
 * the offline stage at N=18, where enumeration runs several chunks: the
   ``enumerate_pareto`` bytes and (avgd, maxd, nconnec, lconnec, kconnec)
@@ -121,6 +124,9 @@ def test_run_results_locked(case):
 CAMPAIGN_DIGEST = (
     "7cadd4520dab4e34d3c15a67410a3f9a4588e4984bf7c1a5dc41b51ead1662ec"
 )
+FEATURES_DIGEST = (
+    "3b5ccbb7bcede39d884ef52035425b63d84e17b0e7b0fe238742528c81dd237e"
+)
 
 
 def test_criterion_10_campaign_files_locked(tmp_path):
@@ -141,13 +147,17 @@ def test_criterion_10_campaign_files_locked(tmp_path):
     )
     cmd_all(config, jobs=1)
     root = Path(config.output_dir)
-    digest = hashlib.sha256()
     files = sorted(p for p in root.rglob("*") if p.is_file())
     assert any(p.name.endswith(".model.json") for p in files)
+    # every file falls under exactly one of the two digests
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
     for path in files:
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        relative = path.relative_to(root)
+        digest = digests[relative.parts[0] == "features"]
+        digest.update(relative.as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == CAMPAIGN_DIGEST
+    assert digests[False].hexdigest() == CAMPAIGN_DIGEST
+    assert digests[True].hexdigest() == FEATURES_DIGEST
 
 
 def test_monte_carlo_hypervolume_locked():

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from mnkbench.experiment import (
     cmd_run,
     instance_ids,
 )
+from mnkbench.features import extract_features
 from mnkbench.landscape import load_instance
 from mnkbench.optimizers import mboa_run, nsga3_run
 from mnkbench.seeds import derive_seed
@@ -247,6 +249,58 @@ def test_pmf_view_rejects_missing_model(tmp_path, capsys):
     assert str(model) in capsys.readouterr().err
 
 
+# a run that succeeded on its initial population, so it has no model and
+# pmf-view reads its record
+_RECORD = Path("runs/mboa/n8-m2-k2-i000/run-0000.json")
+_FEATURES = Path("features/n8-m2-k2-i000.json")
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+def _without(field):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != field})
+
+
+def _with(field):
+    return lambda text: json.dumps({**json.loads(text), field: 1})
+
+
+@pytest.fixture(scope="module")
+def record_campaign(tmp_path_factory):
+    config = _tiny_config(tmp_path_factory.mktemp("records"), master_seed=3)
+    cmd_gen(config)
+    cmd_run(config, "mboa")
+    cmd_features(config)
+    root = Path(config.output_dir)
+    assert not (root / _RECORD).with_suffix(".model.json").exists()
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, target, edit",
+    [
+        pytest.param("ert", _RECORD, _without("evaluations"), id="ert-no-evaluations"),
+        pytest.param("ert", _RECORD, _truncated, id="ert-truncated"),
+        pytest.param("pmf-view", _RECORD, _without("success"), id="pmf-view-no-success"),
+        pytest.param("pmf-view", _RECORD, _truncated, id="pmf-view-truncated"),
+        pytest.param("features", _FEATURES, _truncated, id="features-truncated"),
+        pytest.param("features", _FEATURES, _without("hv"), id="features-no-hv"),
+        pytest.param("features", _FEATURES, _with("spin"), id="features-unknown-field"),
+    ],
+)
+def test_malformed_file_is_named(record_campaign, tmp_path, capsys, command, target, edit):
+    root = tmp_path / "out"
+    shutil.copytree(record_campaign.output_dir, root)
+    config = _tiny_config(tmp_path, master_seed=3, output_dir=str(root))
+    path = root / target
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["--config", str(_write_config(tmp_path, config)), command]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_unknown_algorithm_rejected(tmp_path):
     config = _tiny_config(tmp_path)
     with pytest.raises(ValueError, match="unknown algorithm"):
@@ -316,6 +370,43 @@ def test_report_is_deterministic(tmp_path):
     trees = [
         _tree_bytes(Path(cfg.output_dir) / "reports") for cfg in (config_a, config_b)
     ]
+    assert trees[0] == trees[1]
+
+
+def test_report_reuses_feature_files(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(instance, pareto):
+        calls.append(instance.id)
+        return extract_features(instance, pareto)
+
+    monkeypatch.setattr(experiment, "extract_features", counted)
+    config = _small_grid(tmp_path)
+    ids = instance_ids(config)
+    cmd_all(config, jobs=1)
+    assert sorted(calls) == sorted(ids)
+    root = Path(config.output_dir)
+    table = (root / "reports" / "features.csv").read_bytes()
+
+    calls.clear()
+    cmd_report(config)
+    assert calls == []
+
+    (root / "features" / f"{ids[0]}.json").unlink()
+    cmd_report(config)
+    assert calls == [ids[0]]
+    assert (root / "reports" / "features.csv").read_bytes() == table
+
+
+def test_features_independent_of_jobs(tmp_path):
+    trees = []
+    for jobs in (1, 2):
+        config = _small_grid(tmp_path, output_dir=str(tmp_path / f"jobs{jobs}"))
+        cmd_gen(config)
+        cmd_features(config, jobs=jobs)
+        root = Path(config.output_dir)
+        trees.append((_tree_bytes(root / "features"), _tree_bytes(root / "reports")))
+    assert len(trees[0][0]) == len(instance_ids(config))
     assert trees[0] == trees[1]
 
 

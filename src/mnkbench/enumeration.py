@@ -257,6 +257,9 @@ def _covering_blocks(
     dominates exact point ``i``; at epsilon 0 this is plain weak dominance,
     which ``nondominated_sort`` uses against the population itself.
     Validates the inputs first; yields nothing for an empty exact set.
+    Each block is the AND over objectives of one 2-D comparison between
+    contiguous objective columns, so no (block, candidates, M) temporary
+    is built.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -276,11 +279,31 @@ def _covering_blocks(
             f"objective counts differ: candidates have {cand.shape[1]}, "
             f"exact set has {exact_objs.shape[1]}"
         )
-    scaled = (1.0 + epsilon) * cand
-    step = max(1, (1 << 22) // max(1, scaled.shape[0] * scaled.shape[1]))
-    for start in range(0, exact_objs.shape[0], step):
-        block = exact_objs[start : start + step]
-        yield (block[:, None, :] <= scaled[None, :, :]).all(axis=2)
+    scaled_t = np.ascontiguousarray(((1.0 + epsilon) * cand).T)
+    exact_t = np.ascontiguousarray(exact_objs.T)
+    step = max(1, (1 << 22) // max(1, cand.shape[0] * cand.shape[1]))
+    for start in range(0, exact_t.shape[1], step):
+        stop = min(start + step, exact_t.shape[1])
+        covered = exact_t[0, start:stop, None] <= scaled_t[0]
+        scratch = np.empty_like(covered)
+        for m in range(1, exact_t.shape[0]):
+            covered &= np.less_equal(exact_t[m, start:stop, None], scaled_t[m], out=scratch)
+        yield covered
+
+
+def _first_uncovered(
+    candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
+) -> int | None:
+    """Index of the first exact point no scaled candidate covers, or None
+    if the candidates are a (1+epsilon)-approximation.  Stops at the first
+    block that holds an uncovered point."""
+    start = 0
+    for covered in _covering_blocks(candidates, exact, epsilon):
+        hit = covered.any(axis=1)
+        if not hit.all():
+            return start + int(hit.argmin())
+        start += covered.shape[0]
+    return None
 
 
 def epsilon_success(
@@ -295,10 +318,7 @@ def epsilon_success(
     preserves dominance, so a set covers exactly when its non-dominated
     subset does; candidates need no Pareto filtering first.
     """
-    return all(
-        covered.any(axis=1).all()
-        for covered in _covering_blocks(candidates, exact, epsilon)
-    )
+    return _first_uncovered(candidates, exact, epsilon) is None
 
 
 def epsilon_cover_prefix(

@@ -374,10 +374,16 @@ def _load_features(config: ExperimentConfig, jobs: int = 1) -> dict[str, Feature
 
 def cmd_features(config: ExperimentConfig, jobs: int = 1) -> Path:
     """Write features.csv, computing the features that are not on disk."""
+    return _write_features_csv(config, _load_features(config, jobs))
+
+
+def _write_features_csv(
+    config: ExperimentConfig, table: dict[str, FeatureVector]
+) -> Path:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(FEATURE_COLUMNS)
-    for instance_id, features in _load_features(config, jobs).items():
+    for instance_id, features in table.items():
         values = [str(v) if isinstance(v, int) else _float_repr(v) for v in astuple(features)]
         writer.writerow([instance_id, *values])
     out = _dir(config, "reports") / "features.csv"
@@ -431,10 +437,15 @@ def cmd_regress(
     config: ExperimentConfig, censored_mode: str = "exclude", jobs: int = 1
 ) -> Path:
     """Fit the simple and multiple cost models; writes regression.json."""
-    features = _load_features(config, jobs)
+    return _write_regression(config, _load_features(config, jobs), censored_mode)
+
+
+def _write_regression(
+    config: ExperimentConfig, table: dict[str, FeatureVector], censored_mode: str
+) -> Path:
     records = _ert_records(config)
     report = regression_report(
-        features,
+        table,
         records,
         k_folds=10,
         cv_seed=derive_seed(config.master_seed, "kfold-cv"),
@@ -511,8 +522,9 @@ def cmd_report(
 ) -> list[Path]:
     """Assemble every analysis output from the run records on disk."""
     _write_config_echo(config)
-    outputs = [cmd_features(config, jobs), cmd_ert(config)]
-    outputs.append(cmd_regress(config, censored_mode, jobs))
+    table = _load_features(config, jobs)
+    outputs = [_write_features_csv(config, table), cmd_ert(config)]
+    outputs.append(_write_regression(config, table, censored_mode))
     outputs.extend(cmd_pmf_view(config))
     return outputs
 

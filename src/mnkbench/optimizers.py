@@ -5,10 +5,13 @@ Both run the same generational loop (``_evolve``), maximize all
 objectives of an MNK instance, count every fitness evaluation, and test
 for success (the population forming a (1+epsilon)-approximation of the
 exact Pareto set) after the initial population and after each
-generation's batch of new evaluations, with one coverage check of the
-population plus batch per generation.  The last batch before the budget
-runs out is truncated to the remaining evaluations, so a run that never
-succeeds consumes and reports exactly ``evaluations = t_max``.
+generation's batch of new evaluations.  Each such test first checks the
+one exact Pareto point the last full coverage check found uncovered (the
+witness); only when the population plus batch covers it does a full
+check run, which either succeeds or names the next witness.  The last
+batch before the budget runs out is truncated to the remaining
+evaluations, so a run that never succeeds consumes and reports exactly
+``evaluations = t_max``.
 
 The EDA's variation is exclusively model sampling: each generation selects
 parents by binary tournament, learns a Bayesian network (K2 structure on a
@@ -36,6 +39,7 @@ from .bayesnet import sample as bn_sample
 from .enumeration import (
     ParetoSet,
     RankedPopulation,
+    _first_uncovered,
     epsilon_cover_prefix,
     epsilon_success,
     nondominated_sort,
@@ -159,6 +163,28 @@ def _success_charge(
     return max(1, epsilon_cover_prefix(objs, exact, params.epsilon) - prev)
 
 
+def _witness_charge(
+    objs: np.ndarray, prev: int, exact: ParetoSet, params: RunParams, witness: int
+) -> tuple[int | None, int]:
+    """``_success_charge`` behind a one-point precheck; returns the charge
+    and the witness for the next call.
+
+    ``witness`` indexes the exact point the last full check found
+    uncovered.  While the pool leaves it uncovered the pool cannot cover,
+    so the check costs O(pool * M) and the full check is skipped;
+    otherwise the full check either succeeds or names the new witness.
+    """
+    scaled = (1.0 + params.epsilon) * objs
+    if not (exact.objectives[witness] <= scaled).all(axis=1).any():
+        return None, witness
+    uncovered = _first_uncovered(objs, exact, params.epsilon)
+    if uncovered is not None:
+        return None, uncovered
+    # the success generation repeats the full check inside _success_charge,
+    # once per run, so every charge goes through one rule
+    return _success_charge(objs, prev, exact, params), witness
+
+
 # (ranked population, batch size, rng) -> (new solutions, model they came from)
 Propose = Callable[
     [RankedPopulation, int, np.random.Generator],
@@ -197,10 +223,10 @@ def _evolve(
     bits = rng.integers(0, 2, size=(params.pop_size, instance.n_vars), dtype=np.uint8)
     objs = evaluate_batch(instance, bits)
     prev = 0  # rows of (bits, objs) that precede the newest batch
-    evaluations = generation = 0
+    evaluations = generation = witness = 0
     model = None
     while True:
-        charged = _success_charge(objs, prev, exact, params)
+        charged, witness = _witness_charge(objs, prev, exact, params, witness)
         if charged is not None:
             bits, objs = bits[: prev + charged], objs[: prev + charged]
             evaluations += charged

@@ -86,6 +86,14 @@ def epsilon_success_fullspace(instance, candidate_objs, epsilon) -> bool:
     return True
 
 
+def covering_matrix(candidates, exact, epsilon) -> np.ndarray:
+    """Entry [i, c] is True iff (1+epsilon)*candidates[c] weakly dominates
+    exact[i], from one (exact, candidates, M) comparison array."""
+    scaled = (1.0 + epsilon) * np.asarray(candidates, dtype=float)
+    exact = np.asarray(exact, dtype=float)
+    return (exact[:, None, :] <= scaled[None, :, :]).all(axis=2)
+
+
 # --- hypervolume -------------------------------------------------------------
 
 

@@ -398,6 +398,24 @@ def test_report_reuses_feature_files(tmp_path, monkeypatch):
     assert (root / "reports" / "features.csv").read_bytes() == table
 
 
+def test_report_reads_each_feature_file_once(tmp_path, monkeypatch):
+    config = _small_grid(tmp_path)
+    cmd_all(config, jobs=1)
+    reports = Path(config.output_dir) / "reports"
+    before = _tree_bytes(reports)
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_features(path)
+
+    read_features = experiment._read_features
+    monkeypatch.setattr(experiment, "_read_features", counted)
+    cmd_report(config)
+    assert len(reads) == len(instance_ids(config))
+    assert _tree_bytes(reports) == before
+
+
 def test_features_independent_of_jobs(tmp_path):
     trees = []
     for jobs in (1, 2):

@@ -253,6 +253,62 @@ def test_empty_candidate_set_fails():
     assert not epsilon_success(np.empty((0, 2)), pareto, 10.0)
 
 
+def _coverage_case(m, pool, exact_from, seed=0):
+    """(candidates, exact) on one-decimal coordinates with duplicated rows,
+    exact points equal to candidates, and, at 1,000 candidates, an exact
+    set spanning three coverage blocks."""
+    rng = np.random.default_rng(seed)
+    cand = np.round(10.0 * rng.random((pool, m)), 1)
+    cand[pool // 2 :] = cand[: pool - pool // 2]
+    n_exact = 2 * ((1 << 22) // cand.size) + 7 if pool >= 1000 else 9
+    if exact_from == "candidates":
+        exact = cand[rng.integers(0, pool, n_exact)]
+    else:
+        exact = np.round(10.0 * rng.random((n_exact, m)), 1)
+        exact[: pool // 5] = cand[: pool // 5]
+    return cand, exact
+
+
+COVERAGE_CASES = pytest.mark.parametrize(
+    "m, pool, exact_from, epsilon",
+    [
+        (m, pool, exact_from, epsilon)
+        for m in (2, 3, 5, 8)
+        for pool in (7, 1000)
+        for exact_from in ("random", "candidates")
+        for epsilon in (0.0, 0.1)
+    ],
+)
+
+
+@COVERAGE_CASES
+def test_covering_blocks_match_oracle(m, pool, exact_from, epsilon):
+    cand, exact = _coverage_case(m, pool, exact_from)
+    blocks = list(enumeration._covering_blocks(cand, exact, epsilon))
+    if pool >= 1000:
+        assert len(blocks) == 3
+    expected = oracles.covering_matrix(cand, exact, epsilon)
+    assert np.array_equal(np.vstack(blocks), expected)
+
+
+@COVERAGE_CASES
+def test_first_uncovered_matches_oracle(m, pool, exact_from, epsilon):
+    cand, exact = _coverage_case(m, pool, exact_from)
+    hit = oracles.covering_matrix(cand, exact, epsilon).any(axis=1)
+    expected = None if hit.all() else int(np.argmin(hit))
+    assert enumeration._first_uncovered(cand, exact, epsilon) == expected
+    assert epsilon_success(cand, exact, epsilon) == (expected is None)
+
+
+def test_first_uncovered_indexes_later_blocks_globally():
+    cand = np.ones((1000, 2))
+    step = (1 << 22) // cand.size
+    exact = np.zeros((step + 10, 2))
+    exact[step + 3] = 2.0
+    assert len(list(enumeration._covering_blocks(cand, exact, 0.0))) == 2
+    assert enumeration._first_uncovered(cand, exact, 0.0) == step + 3
+
+
 # --- persistence -----------------------------------------------------------------
 
 

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mnkbench import optimizers
 from mnkbench.enumeration import (
+    ParetoSet,
+    _first_uncovered,
     enumerate_pareto,
     epsilon_success,
     nondominated_sort,
@@ -16,6 +19,7 @@ from mnkbench.optimizers import (
     RunParams,
     _normalize,
     _success_charge,
+    _witness_charge,
     binary_tournament,
     mboa_run,
     nsga3_run,
@@ -115,6 +119,33 @@ def test_success_charge_is_the_first_covering_prefix(case):
     expected = _brute_force_charge(prev, batch, exact, epsilon)
     params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=epsilon)
     assert _success_charge(pool, prev.shape[0], exact, params) == expected
+
+
+def test_witness_moves_to_an_uncovered_point(monkeypatch):
+    full_checks = []
+
+    def counted(*args):
+        full_checks.append(args)
+        return _first_uncovered(*args)
+
+    monkeypatch.setattr(optimizers, "_first_uncovered", counted)
+    exact = ParetoSet(
+        instance_id="toy",
+        solutions=np.array([[0, 1], [1, 0]], dtype=np.uint8),
+        objectives=np.array([[1.0, 0.0], [0.0, 1.0]]),
+    )
+    params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=0.0)
+    # the witness is uncovered: no success, and no full check
+    assert _witness_charge(np.array([[0.5, 0.5]]), 0, exact, params, 0) == (None, 0)
+    assert len(full_checks) == 0
+    # the witness is covered but point 1 is not: the witness moves there
+    assert _witness_charge(np.array([[1.0, 0.0]]), 0, exact, params, 0) == (None, 1)
+    # the new witness is covered while point 0 is uncovered again
+    assert _witness_charge(np.array([[0.0, 1.0]]), 0, exact, params, 1) == (None, 0)
+    assert len(full_checks) == 2
+    pool = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    assert _witness_charge(pool, 1, exact, params, 0) == (2, 0)
+    assert len(full_checks) == 3
 
 
 # --- binary tournament ------------------------------------------------------------

@@ -110,11 +110,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        doc = _read_json(Path(path), ())
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
+            raise ValueError(f"{path}: unknown config fields: {', '.join(sorted(unknown))}")
         return cls(**doc)
 
     def to_dict(self) -> dict:
@@ -415,7 +414,10 @@ def _ert_records(config: ExperimentConfig) -> list[ErtRecord]:
 
 def cmd_ert(config: ExperimentConfig) -> Path:
     """Write ert.csv over all completed (instance, algorithm) pairs."""
-    records = _ert_records(config)
+    return _write_ert_csv(config, _ert_records(config))
+
+
+def _write_ert_csv(config: ExperimentConfig, records: list[ErtRecord]) -> Path:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["instance_id", "algorithm", "p_hat", "ert"])
@@ -437,13 +439,16 @@ def cmd_regress(
     config: ExperimentConfig, censored_mode: str = "exclude", jobs: int = 1
 ) -> Path:
     """Fit the simple and multiple cost models; writes regression.json."""
-    return _write_regression(config, _load_features(config, jobs), censored_mode)
+    table = _load_features(config, jobs)
+    return _write_regression(config, table, _ert_records(config), censored_mode)
 
 
 def _write_regression(
-    config: ExperimentConfig, table: dict[str, FeatureVector], censored_mode: str
+    config: ExperimentConfig,
+    table: dict[str, FeatureVector],
+    records: list[ErtRecord],
+    censored_mode: str,
 ) -> Path:
-    records = _ert_records(config)
     report = regression_report(
         table,
         records,
@@ -523,8 +528,10 @@ def cmd_report(
     """Assemble every analysis output from the run records on disk."""
     _write_config_echo(config)
     table = _load_features(config, jobs)
-    outputs = [_write_features_csv(config, table), cmd_ert(config)]
-    outputs.append(_write_regression(config, table, censored_mode))
+    outputs = [_write_features_csv(config, table)]
+    records = _ert_records(config)
+    outputs.append(_write_ert_csv(config, records))
+    outputs.append(_write_regression(config, table, records, censored_mode))
     outputs.extend(cmd_pmf_view(config))
     return outputs
 

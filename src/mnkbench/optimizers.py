@@ -27,6 +27,7 @@ distances, least-crowded-niche preservation).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -384,59 +385,46 @@ def _nsga3_survival(
     directions: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep whole fronts while they fit, then niche the split front."""
-    chosen: list[np.ndarray] = []
-    taken = 0
-    split_front: np.ndarray | None = None
-    for front_index in range(1, ranked.n_fronts + 1):
-        front = ranked.front(front_index)
-        if taken + front.size <= pop_size:
-            chosen.append(front)
-            taken += front.size
-            if taken == pop_size:
-                break
-        else:
-            split_front = front
-            break
-    chosen_idx = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    if split_front is None or taken == pop_size:
-        keep = chosen_idx
+    """Keep whole fronts while they fit, then niche the split front.
+
+    The pool has more than ``pop_size`` rows, which ``_evolve`` guarantees.
+    Each niching pick takes a random direction of least niche count among
+    those holding split-front members, then its nearest member if the
+    niche is empty, else a random one.
+    """
+    order = np.argsort(ranked.rank, kind="stable")
+    rank = ranked.rank[order]
+    split = rank[pop_size]
+    if rank[pop_size - 1] != split:
+        keep = order[:pop_size]
         return bits[keep], objs[keep]
-
-    slots = pop_size - taken
-    considered = np.concatenate([chosen_idx, split_front])
-    normalized = _normalize(-objs[considered])
-    assoc, dist = _associate(normalized, directions)
-
-    n_dirs = directions.shape[0]
-    counts = np.bincount(assoc[: chosen_idx.size], minlength=n_dirs).astype(np.int64)
-    pending: dict[int, list[int]] = {}
-    for pos in range(chosen_idx.size, considered.size):
-        pending.setdefault(int(assoc[pos]), []).append(pos)
-
-    selected: list[int] = []
-    exhausted = np.zeros(n_dirs, dtype=bool)
-    for j in range(n_dirs):
-        if j not in pending:
-            exhausted[j] = True
-    never = np.iinfo(np.int64).max  # an exhausted direction's count
-    while len(selected) < slots:
-        masked = np.where(exhausted, never, counts)
-        lowest = masked.min()
-        candidates = np.where(masked == lowest)[0]
-        direction = int(candidates[rng.integers(candidates.size)])
-        members = pending[direction]
-        if counts[direction] == 0:
-            pick = min(range(len(members)), key=lambda i: dist[members[i]])
+    taken = int(np.searchsorted(rank, split))
+    considered = order[: np.searchsorted(rank, split, side="right")]
+    assoc, dist = _associate(_normalize(-objs[considered]), directions)
+    counts = np.bincount(assoc[:taken], minlength=directions.shape[0])
+    members: dict[int, list[int]] = {}
+    for pos in range(taken, considered.size):
+        members.setdefault(int(assoc[pos]), []).append(pos)
+    # niche count -> its directions holding split-front members, ascending
+    buckets: dict[int, list[int]] = {}
+    for direction in sorted(members):
+        buckets.setdefault(int(counts[direction]), []).append(direction)
+    selected = list(range(taken))
+    level = 0
+    while len(selected) < pop_size:
+        while not buckets.get(level):
+            level += 1
+        least = buckets[level]
+        direction = least.pop(rng.integers(len(least)))
+        group = members[direction]
+        if level == 0:
+            pick = int(np.argmin(dist[group]))
         else:
-            pick = int(rng.integers(len(members)))
-        position = members.pop(pick)
-        selected.append(position)
-        counts[direction] += 1
-        if not members:
-            del pending[direction]
-            exhausted[direction] = True
-    keep = np.concatenate([chosen_idx, considered[np.array(selected, dtype=np.int64)]])
+            pick = int(rng.integers(len(group)))
+        selected.append(group.pop(pick))
+        if group:
+            bisect.insort(buckets.setdefault(level + 1, []), direction)
+    keep = considered[selected]
     return bits[keep], objs[keep]
 
 

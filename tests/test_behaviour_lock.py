@@ -15,6 +15,10 @@ Locked:
   call, for both optimizers, on runs that succeed at generation 0, succeed
   inside a later batch, succeed exactly at a batch boundary, and are
   censored with a truncated last batch;
+* NSGA-III alone at M=5 and M=8 with populations of 40 to 100, where the
+  reference-direction survival keeps a generation of whole fronts, keeps
+  whole fronts ahead of a niched split front, and picks from niches that
+  already hold members;
 * every file of the criterion-10 campaign run with ``cmd_all``, under two
   digests: one over the files outside ``features/`` (instances, Pareto sets,
   run records, models, reports), which predates the per-instance feature
@@ -90,8 +94,8 @@ RUN_CASES = {
 }
 
 
-def _run_case_digest(m: int, k: int, epsilon: float, seed: int, t_max: int) -> str:
-    instance = generate_instance(5, 10, m, k)
+def _runs_digest(instance, params: RunParams, runs) -> str:
+    """Digest of each run's ``on_generation`` calls and result, in turn."""
     exact = enumerate_pareto(instance)
     digest = hashlib.sha256()
 
@@ -100,6 +104,13 @@ def _run_case_digest(m: int, k: int, epsilon: float, seed: int, t_max: int) -> s
         _feed_array(digest, bits)
         _feed_array(digest, objs)
 
+    for run in runs:
+        digest.update(run.__name__.encode())
+        _feed_result(digest, run(instance, exact, params, on_generation=hook))
+    return digest.hexdigest()
+
+
+def _run_case_digest(m: int, k: int, epsilon: float, seed: int, t_max: int) -> str:
     params = RunParams(
         pop_size=16,
         pgm_size=8,
@@ -109,16 +120,44 @@ def _run_case_digest(m: int, k: int, epsilon: float, seed: int, t_max: int) -> s
         seed=seed,
         max_parents=2,
     )
-    for run in (mboa_run, nsga3_run):
-        digest.update(run.__name__.encode())
-        _feed_result(digest, run(instance, exact, params, on_generation=hook))
-    return digest.hexdigest()
+    return _runs_digest(generate_instance(5, 10, m, k), params, (mboa_run, nsga3_run))
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
 def test_run_results_locked(case):
     args, expected = RUN_CASES[case]
     assert _run_case_digest(*args) == expected
+
+
+# (instance seed, n, m, k, pop_size, t_max, run seed) run by nsga3_run alone at
+# epsilon 0, so every run is censored and its last batch truncated.  At M=8
+# the first front outgrows the population in every generation.
+NSGA3_CASES = {
+    # one generation keeps exactly pop_size members of whole fronts
+    "m5-whole-fronts": (
+        (0, 12, 5, 2, 40, 470, 3),
+        "2538e629ab4d304daf63714ad390abd0dab332e2a30557207692dcdd8d5eb106",
+    ),
+    # two generations keep whole fronts ahead of the niched split front
+    "m5-fronts-then-niche": (
+        (5, 10, 5, 2, 100, 970, 0),
+        "659f8c73111db7a45ef64d2cba72bdd1eaa4a5d852585111d1b1b3bc47d67b6e",
+    ),
+    "m8-niche": (
+        (5, 10, 8, 2, 60, 590, 0),
+        "8f1433fd125ac6019aaf88df2f5aa9b08b0e5d61d59f68ff065cf00b5e1becb1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NSGA3_CASES))
+def test_nsga3_survival_locked(case):
+    (instance_seed, n, m, k, pop_size, t_max, seed), expected = NSGA3_CASES[case]
+    params = RunParams(
+        pop_size=pop_size, pgm_size=1, sample_size=1, t_max=t_max, epsilon=0.0, seed=seed
+    )
+    instance = generate_instance(instance_seed, n, m, k)
+    assert _runs_digest(instance, params, (nsga3_run,)) == expected
 
 
 CAMPAIGN_DIGEST = (

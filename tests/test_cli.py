@@ -416,6 +416,32 @@ def test_report_reads_each_feature_file_once(tmp_path, monkeypatch):
     assert _tree_bytes(reports) == before
 
 
+def test_report_reads_each_run_record_once(tmp_path, monkeypatch):
+    config = _small_grid(tmp_path)
+    cmd_all(config, jobs=1)
+    root = Path(config.output_dir)
+    before = _tree_bytes(root / "reports")
+    records = sorted((root / "runs").rglob("run-????.json"))
+    # the pmf view also reads each EDA record that has no model beside it
+    modelless = [
+        path
+        for path in records
+        if path.parts[-3] == "mboa" and not path.with_suffix(".model.json").exists()
+    ]
+    assert len(records) == 24 and modelless
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_run_record(path)
+
+    read_run_record = experiment._read_run_record
+    monkeypatch.setattr(experiment, "_read_run_record", counted)
+    cmd_report(config)
+    assert sorted(reads) == sorted(records + modelless)
+    assert _tree_bytes(root / "reports") == before
+
+
 def test_features_independent_of_jobs(tmp_path):
     trees = []
     for jobs in (1, 2):
@@ -500,6 +526,16 @@ def test_config_rejects_unknown_fields(tmp_path):
         path.write_text(json.dumps({"master_seed": 1, field: value}))
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"master_seed": 1, ', "[1, 2]", '{"master_seed": 1, "banana": 2}']
+)
+def test_cli_names_a_bad_config_file(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "gen"]) == 1
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
+from .landscape import _read_json_object
+
 __all__ = [
     "BNStructure",
     "CPTs",
@@ -271,7 +273,7 @@ def save_network_json(structure: BNStructure, cpts: CPTs, path: str | Path) -> N
 def load_network_json(path: str | Path) -> tuple[BNStructure, CPTs]:
     """Read a network file, checking its fields, the structure and every
     table against the structure; every rejection names the file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json_object(Path(path))
     try:
         parents = tuple(tuple(p) for p in doc["parents"])
         structure = BNStructure(

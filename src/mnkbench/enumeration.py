@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .landscape import MNKInstance, bits_to_string, evaluate_batch, string_to_bits
+from .landscape import _read_json_object
 
 __all__ = [
     "ParetoSet",
@@ -170,7 +171,7 @@ def enumerate_pareto(instance: MNKInstance) -> ParetoSet:
 
 @dataclass(frozen=True, eq=False)
 class RankedPopulation:
-    """A population split into Pareto fronts with crowding distances.
+    """Pareto-front ranks and crowding distances of a population's rows.
 
     ``rank`` is 1-based (front 1 is non-dominated); ``crowding`` follows the
     usual convention of +inf at each front's per-objective extremes, with
@@ -180,19 +181,10 @@ class RankedPopulation:
     objectives: np.ndarray
     rank: np.ndarray
     crowding: np.ndarray
-    solutions: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.objectives.shape[0]
-
-    @property
-    def n_fronts(self) -> int:
-        return int(self.rank.max())
-
-    def front(self, index: int) -> np.ndarray:
-        """Member indices of front ``index`` (1-based)."""
-        return np.where(self.rank == index)[0]
 
 
 def _crowding_distances(front_objs: np.ndarray) -> np.ndarray:
@@ -212,9 +204,24 @@ def _crowding_distances(front_objs: np.ndarray) -> np.ndarray:
     return crowd
 
 
-def nondominated_sort(
-    objectives: np.ndarray, solutions: np.ndarray | None = None
-) -> RankedPopulation:
+def _ranking(objs: np.ndarray, rank: np.ndarray) -> RankedPopulation:
+    """``objs`` ranked by ``rank``, with crowding computed per front over
+    its members in ascending row order."""
+    order = np.argsort(rank, kind="stable")
+    crowding = np.zeros(objs.shape[0], dtype=np.float64)
+    for members in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
+        crowding[members] = _crowding_distances(objs[members])
+    return RankedPopulation(objectives=objs, rank=rank, crowding=crowding)
+
+
+def _kept_ranking(ranked: RankedPopulation, keep: np.ndarray) -> RankedPopulation:
+    """``nondominated_sort(ranked.objectives[keep])``, without sorting, when
+    ``keep`` holds every row ranked below its worst rank: each kept row then
+    keeps its dominators and so its rank, and only crowding is recomputed."""
+    return _ranking(ranked.objectives[keep], ranked.rank[keep])
+
+
+def nondominated_sort(objectives: np.ndarray) -> RankedPopulation:
     """Fast non-dominated sorting with crowding distances.
 
     Peels fronts by maintaining per-member dominator counts against the
@@ -227,25 +234,19 @@ def nondominated_sort(
     objs = np.ascontiguousarray(objectives, dtype=np.float64)
     if objs.ndim != 2 or objs.shape[0] == 0:
         raise ValueError("population must be a non-empty 2-D objective matrix")
-    n = objs.shape[0]
     covered = np.vstack(list(_covering_blocks(objs, objs, 0.0)))
     dom = covered.T & ~covered
     counts = dom.sum(axis=0).astype(np.int64)
-    rank = np.zeros(n, dtype=np.int32)
-    crowding = np.zeros(n, dtype=np.float64)
-    assigned = np.zeros(n, dtype=bool)
+    rank = np.zeros(objs.shape[0], dtype=np.int32)
     front_index = 1
-    while not assigned.all():
-        members = np.where(~assigned & (counts == 0))[0]
+    while not rank.all():
+        members = np.flatnonzero((rank == 0) & (counts == 0))
         if members.size == 0:
             raise AssertionError("domination counts exhausted with members left")
         rank[members] = front_index
-        assigned[members] = True
         counts -= dom[members].sum(axis=0)
-        crowding[members] = _crowding_distances(objs[members])
         front_index += 1
-    sols = None if solutions is None else np.asarray(solutions)
-    return RankedPopulation(objectives=objs, rank=rank, crowding=crowding, solutions=sols)
+    return _ranking(objs, rank)
 
 
 def _covering_blocks(
@@ -356,7 +357,7 @@ def load_pareto_json(path: str | Path) -> ParetoSet:
     """Read a Pareto-set file, checking its fields, its version, its shapes
     against ``n`` and ``m``, its bitstrings, and the sorted, unique row
     order; every rejection names the file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json_object(Path(path))
     try:
         version, instance_id, n, m = doc["format_version"], doc["instance_id"], doc["n"], doc["m"]
         strings, objectives = doc["solutions"], doc["objectives"]

@@ -37,7 +37,7 @@ from .enumeration import (
     save_pareto_json,
 )
 from .features import FEATURE_COLUMNS, FeatureVector, extract_features
-from .landscape import generate_instance, load_instance, save_instance
+from .landscape import _read_json_object, generate_instance, load_instance, save_instance
 from .optimizers import REFERENCE_DIVISIONS, RunParams, mboa_run, nsga3_run
 from .seeds import derive_seed
 
@@ -87,6 +87,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "m_values", tuple(self.m_values))
+        seed = self.master_seed  # a str or bool seed would derive other streams
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
         if not 1 <= self.n_vars <= ENUMERATION_CAP:
             raise ValueError(f"n_vars must lie in [1, {ENUMERATION_CAP}]")
         if self.landscapes_per_cell < 1:
@@ -110,7 +113,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        doc = _read_json(Path(path), ())
+        doc = _read_json_object(Path(path))
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"{path}: unknown config fields: {', '.join(sorted(unknown))}")
@@ -188,28 +191,13 @@ def _atomic_json(path: Path, doc) -> None:
     _atomic_text(path, json.dumps(doc, indent=1) + "\n")
 
 
-def _read_json(path: Path, required: tuple[str, ...]) -> dict:
-    """A JSON object holding every ``required`` field; invalid JSON or a
-    missing field raises ValueError naming the file."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    missing = [name for name in required if name not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
-    return doc
-
-
 def _read_run_record(path: Path) -> dict:
-    return _read_json(path, ("success", "evaluations", "generations"))
+    return _read_json_object(path, ("success", "evaluations", "generations"))
 
 
 def _read_features(path: Path) -> FeatureVector:
     names = FEATURE_COLUMNS[1:]
-    doc = _read_json(path, names)
+    doc = _read_json_object(path, names)
     unknown = sorted(set(doc) - set(names))
     if unknown:
         raise ValueError(f"{path}: unknown field(s) {', '.join(unknown)}")

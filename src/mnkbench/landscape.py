@@ -286,15 +286,28 @@ def _require(doc: dict, key: str, kind: type, path: Path):
     return value
 
 
-def load_instance(path: str | Path) -> MNKInstance:
-    """Read an instance file, validating every documented invariant."""
-    path = Path(path)
+def _read_json_object(
+    path: Path, required: tuple[str, ...] = (), error: type[ValueError] = ValueError
+) -> dict:
+    """The JSON object in ``path``, holding every ``required`` field; invalid
+    JSON, another top-level value or a missing field raises ``error``
+    naming the file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise MalformedInstanceError(f"{path}: not valid JSON ({exc})") from exc
+        raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise MalformedInstanceError(f"{path}: top-level value must be an object")
+        raise error(f"{path}: not a JSON object")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise error(f"{path}: missing field(s) {', '.join(missing)}")
+    return doc
+
+
+def load_instance(path: str | Path) -> MNKInstance:
+    """Read an instance file, validating every documented invariant."""
+    path = Path(path)
+    doc = _read_json_object(path, error=MalformedInstanceError)
     version = _require(doc, "format_version", int, path)
     if version != FORMAT_VERSION:
         raise MalformedInstanceError(

@@ -11,7 +11,8 @@ witness); only when the population plus batch covers it does a full
 check run, which either succeeds or names the next witness.  The last
 batch before the budget runs out is truncated to the remaining
 evaluations, so a run that never succeeds consumes and reports exactly
-``evaluations = t_max``.
+``evaluations = t_max``.  Each generation sorts the merged pool once;
+survival returns the rows it keeps, and the next tournament reuses their ranks.
 
 The EDA's variation is exclusively model sampling: each generation selects
 parents by binary tournament, learns a Bayesian network (K2 structure on a
@@ -41,6 +42,7 @@ from .enumeration import (
     ParetoSet,
     RankedPopulation,
     _first_uncovered,
+    _kept_ranking,
     epsilon_cover_prefix,
     epsilon_success,
     nondominated_sort,
@@ -112,8 +114,10 @@ class RunResult:
 
     ``evaluations`` is the count consumed when success was detected, or
     ``t_max`` for a failed run.  ``front_*`` hold the non-dominated subset
-    of the population at the final success check.  ``model`` is the last
-    learned network (EDA only; None if no generation completed).
+    of the population plus the charged batch prefix for a success, and of
+    the population after the last survival (or the initial one) for a
+    censored run.  ``model`` is the last learned network (EDA only; None
+    if no generation completed).
     """
 
     success: bool
@@ -127,25 +131,19 @@ class RunResult:
 def binary_tournament(
     ranked: RankedPopulation, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Select ``count`` solutions by independent binary tournaments.
+    """Row indices of ``count`` winners of independent binary tournaments.
 
     Each tournament draws two members uniformly with replacement and keeps
     the one on the better front; same front falls to the larger crowding
     distance, and full ties are settled by a coin flip.
     """
-    if ranked.solutions is None:
-        raise ValueError("ranked population carries no solutions to select from")
-    n = ranked.size
-    if count == 0:
-        return np.empty((0, ranked.solutions.shape[1]), dtype=ranked.solutions.dtype)
-    pairs = rng.integers(0, n, size=(count, 2))
+    pairs = rng.integers(0, ranked.size, size=(count, 2))
     coins = rng.random(count) < 0.5
     a, b = pairs[:, 0], pairs[:, 1]
     rank, crowd = ranked.rank, ranked.crowding
     first = (rank[a] < rank[b]) | ((rank[a] == rank[b]) & (crowd[a] > crowd[b]))
     second = (rank[b] < rank[a]) | ((rank[a] == rank[b]) & (crowd[b] > crowd[a]))
-    winner = np.where(first, a, np.where(second, b, np.where(coins, a, b)))
-    return ranked.solutions[winner]
+    return np.where(first, a, np.where(second, b, np.where(coins, a, b)))
 
 
 def _success_charge(
@@ -186,16 +184,14 @@ def _witness_charge(
     return _success_charge(objs, prev, exact, params), witness
 
 
-# (ranked population, batch size, rng) -> (new solutions, model they came from)
+# (population bits, their ranking, batch size, rng) -> (new solutions, their model)
 Propose = Callable[
-    [RankedPopulation, int, np.random.Generator],
+    [np.ndarray, RankedPopulation, int, np.random.Generator],
     tuple[np.ndarray, tuple[BNStructure, CPTs] | None],
 ]
-# (merged bits, merged objectives, their ranking, rng) -> next population
-Survive = Callable[
-    [np.ndarray, np.ndarray, RankedPopulation, np.random.Generator],
-    tuple[np.ndarray, np.ndarray],
-]
+# (ranking of the merged pool, rng) -> row indices of the next population,
+# holding every row ranked below the worst kept rank
+Survive = Callable[[RankedPopulation, np.random.Generator], np.ndarray]
 
 
 def _evolve(
@@ -214,7 +210,8 @@ def _evolve(
     remaining budget), tests the population plus batch for success, and
     merges and truncates back to ``pop_size`` by ``survive``.  One random
     stream seeded by ``params.seed`` feeds the initial population, then
-    ``propose`` and ``survive`` in turn.
+    ``propose`` and ``survive`` in turn.  Each merged pool is sorted once,
+    and the survivors' ranking is sliced from it for the next proposal.
     """
     if exact.instance_id != instance.id:
         raise ValueError(
@@ -235,15 +232,19 @@ def _evolve(
         evaluations += objs.shape[0] - prev
         assert evaluations == min(params.pop_size + generation * batch_size, params.t_max)
         if generation:
-            bits, objs = survive(bits, objs, nondominated_sort(objs, bits), rng)
+            merged = nondominated_sort(objs)
+            keep = survive(merged, rng)
+            bits, objs, ranked = bits[keep], objs[keep], _kept_ranking(merged, keep)
             if on_generation is not None:
                 on_generation(generation, bits, objs)
+        else:
+            ranked = nondominated_sort(objs)
         if evaluations >= params.t_max:
             break
         # the final batch shrinks to the remaining budget, so a failed run
         # consumes exactly t_max evaluations
         batch = min(batch_size, params.t_max - evaluations)
-        new_bits, model = propose(nondominated_sort(objs, bits), batch, rng)
+        new_bits, model = propose(bits, ranked, batch, rng)
         new_objs = evaluate_batch(instance, new_bits)
         generation += 1
         prev = objs.shape[0]
@@ -272,16 +273,14 @@ def mboa_run(
     survival selection; intended for instrumentation.
     """
 
-    def propose(ranked: RankedPopulation, batch: int, rng: np.random.Generator):
-        parents = binary_tournament(ranked, params.pgm_size, rng)
+    def propose(bits, ranked: RankedPopulation, batch: int, rng: np.random.Generator):
+        parents = bits[binary_tournament(ranked, params.pgm_size, rng)]
         structure = k2_learn(parents, rng.permutation(instance.n_vars), params.max_parents)
         cpts = fit_parameters(structure, parents)
         return bn_sample(structure, cpts, batch, rng), (structure, cpts)
 
-    def survive(bits, objs, ranked: RankedPopulation, rng: np.random.Generator):
-        keep = np.lexsort((np.arange(ranked.size), -ranked.crowding, ranked.rank))
-        keep = keep[: params.pop_size]
-        return bits[keep], objs[keep]
+    def survive(ranked: RankedPopulation, rng: np.random.Generator):
+        return np.lexsort((-ranked.crowding, ranked.rank))[: params.pop_size]
 
     return _evolve(
         instance, exact, params, params.sample_size, propose, survive, on_generation
@@ -378,14 +377,12 @@ def _associate(
 
 
 def _nsga3_survival(
-    bits: np.ndarray,
-    objs: np.ndarray,
     ranked: RankedPopulation,
     pop_size: int,
     directions: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep whole fronts while they fit, then niche the split front.
+) -> np.ndarray:
+    """Survivor row indices: whole fronts while they fit, then the niched split front.
 
     The pool has more than ``pop_size`` rows, which ``_evolve`` guarantees.
     Each niching pick takes a random direction of least niche count among
@@ -396,11 +393,10 @@ def _nsga3_survival(
     rank = ranked.rank[order]
     split = rank[pop_size]
     if rank[pop_size - 1] != split:
-        keep = order[:pop_size]
-        return bits[keep], objs[keep]
+        return order[:pop_size]
     taken = int(np.searchsorted(rank, split))
     considered = order[: np.searchsorted(rank, split, side="right")]
-    assoc, dist = _associate(_normalize(-objs[considered]), directions)
+    assoc, dist = _associate(_normalize(-ranked.objectives[considered]), directions)
     counts = np.bincount(assoc[:taken], minlength=directions.shape[0])
     members: dict[int, list[int]] = {}
     for pos in range(taken, considered.size):
@@ -424,8 +420,7 @@ def _nsga3_survival(
         selected.append(group.pop(pick))
         if group:
             bisect.insort(buckets.setdefault(level + 1, []), direction)
-    keep = considered[selected]
-    return bits[keep], objs[keep]
+    return considered[selected]
 
 
 def nsga3_run(
@@ -448,12 +443,12 @@ def nsga3_run(
         raise ValueError("pc and pm must lie in [0, 1]")
     directions = reference_directions(instance.m_objectives, params.pop_size)
 
-    def propose(ranked: RankedPopulation, batch: int, rng: np.random.Generator):
-        mating = binary_tournament(ranked, params.pop_size, rng)
+    def propose(bits, ranked: RankedPopulation, batch: int, rng: np.random.Generator):
+        mating = bits[binary_tournament(ranked, params.pop_size, rng)]
         return _variation(mating, pc, pm, rng)[:batch], None
 
-    def survive(bits, objs, ranked: RankedPopulation, rng: np.random.Generator):
-        return _nsga3_survival(bits, objs, ranked, params.pop_size, directions, rng)
+    def survive(ranked: RankedPopulation, rng: np.random.Generator):
+        return _nsga3_survival(ranked, params.pop_size, directions, rng)
 
     return _evolve(
         instance, exact, params, params.pop_size, propose, survive, on_generation

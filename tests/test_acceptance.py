@@ -122,8 +122,8 @@ def test_criterion_02_pmf_normalization():
         inst = generate_instance(5000 + i, 10, 2, (i % 9) + 1)
         rng = np.random.default_rng(900 + i)
         pop = rng.integers(0, 2, size=(50, 10), dtype=np.uint8)
-        ranked = nondominated_sort(evaluate_batch(inst, pop), pop)
-        selected = binary_tournament(ranked, 25, rng)
+        ranked = nondominated_sort(evaluate_batch(inst, pop))
+        selected = pop[binary_tournament(ranked, 25, rng)]
         structure = k2_learn(selected, rng.permutation(10), 3)
         cpts = fit_parameters(structure, selected)
         total = float(np.exp(log_joint_pmf(structure, cpts, assignments)).sum())

@@ -286,3 +286,12 @@ def test_network_json_rejects_malformed_file_naming_it(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         load_network_json(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text", ['{"parents": [[]], ', "[1, 2]"], ids=["truncated", "list"])
+def test_network_json_names_the_file_on_bad_json(tmp_path, text):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="JSON") as info:
+        load_network_json(path)
+    assert str(info.value).startswith(f"{path}: ")

@@ -546,6 +546,11 @@ def test_cli_names_a_bad_config_file(tmp_path, capsys, text):
         ("max_parents", -1),
         ("crossover_prob", 1.5),
         ("n_vars", 25),
+        # only a non-negative int: the string "7" would derive other streams than 7
+        ("master_seed", "7"),
+        ("master_seed", 1.5),
+        ("master_seed", -1),
+        ("master_seed", True),
     ],
 )
 def test_bad_config_rejected_before_any_work(tmp_path, capsys, field, value):

@@ -170,13 +170,13 @@ def test_front_invariants():
     rng = np.random.default_rng(3)
     objs = np.round(rng.random((120, 2)), 2)  # rounding forces duplicates
     ranked = nondominated_sort(objs)
-    for front_index in range(1, ranked.n_fronts + 1):
-        front = ranked.front(front_index)
+    for front_index in range(1, int(ranked.rank.max()) + 1):
+        front = np.flatnonzero(ranked.rank == front_index)
         for i in front:
             for j in front:
                 assert not dominates(objs[i], objs[j])
         if front_index > 1:
-            upper = ranked.front(front_index - 1)
+            upper = np.flatnonzero(ranked.rank == front_index - 1)
             for j in front:
                 assert any(dominates(objs[i], objs[j]) for i in upper)
 
@@ -378,3 +378,12 @@ def test_load_pareto_json_rejects_malformed_file(tmp_path, how, message):
     with pytest.raises(ValueError, match=message) as excinfo:
         load_pareto_json(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text", ['{"format_version": 1, ', "[1, 2]"], ids=["truncated", "list"])
+def test_load_pareto_json_names_the_file_on_bad_json(tmp_path, text):
+    path = tmp_path / "pareto.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="JSON") as excinfo:
+        load_pareto_json(path)
+    assert str(excinfo.value).startswith(f"{path}: ")

@@ -9,6 +9,7 @@ from mnkbench import optimizers
 from mnkbench.enumeration import (
     ParetoSet,
     _first_uncovered,
+    _kept_ranking,
     enumerate_pareto,
     epsilon_success,
     nondominated_sort,
@@ -153,9 +154,10 @@ def test_witness_moves_to_an_uncovered_point(monkeypatch):
 
 def test_tournament_prefers_better_front():
     objs = np.array([[0.9, 0.9], [0.1, 0.1]])
-    ranked = nondominated_sort(objs, solutions=np.array([[1], [0]], dtype=np.uint8))
+    solutions = np.array([[1], [0]], dtype=np.uint8)
+    ranked = nondominated_sort(objs)
     rng = np.random.default_rng(0)
-    picks = binary_tournament(ranked, 500, rng)
+    picks = solutions[binary_tournament(ranked, 500, rng)]
     # whenever both members enter a tournament the rank-1 member must win;
     # the loser can only appear via (loser, loser) draws
     loser_share = (picks == 0).mean()
@@ -170,8 +172,8 @@ def test_tournament_prefers_better_front():
 def test_tournament_uniform_when_indistinguishable():
     objs = np.tile([[0.5, 0.5]], (8, 1))
     solutions = np.arange(8, dtype=np.uint8)[:, None]
-    ranked = nondominated_sort(objs, solutions=solutions)
-    picks = binary_tournament(ranked, 10_000, np.random.default_rng(7)).ravel()
+    ranked = nondominated_sort(objs)
+    picks = solutions[binary_tournament(ranked, 10_000, np.random.default_rng(7))].ravel()
     counts = np.bincount(picks, minlength=8)
     expected = 10_000 / 8
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -180,9 +182,60 @@ def test_tournament_uniform_when_indistinguishable():
 
 def test_tournament_count_zero():
     objs = np.array([[0.5, 0.5]])
-    ranked = nondominated_sort(objs, solutions=np.zeros((1, 3), dtype=np.uint8))
-    picks = binary_tournament(ranked, 0, np.random.default_rng(0))
+    solutions = np.zeros((1, 3), dtype=np.uint8)
+    ranked = nondominated_sort(objs)
+    picks = solutions[binary_tournament(ranked, 0, np.random.default_rng(0))]
     assert picks.shape == (0, 3)
+
+
+# --- one sort per generation -------------------------------------------------------
+
+
+def _survival_rules(monkeypatch, m, pop_size):
+    """The survive callbacks mboa_run and nsga3_run hand to _evolve."""
+    rules = []
+    monkeypatch.setattr(optimizers, "_evolve", lambda *args: rules.append(args[5]))
+    instance = generate_instance(0, 4, m, 1)
+    params = _params(pop_size=pop_size, pgm_size=1, t_max=pop_size)
+    mboa_run(instance, None, params)
+    nsga3_run(instance, None, params)
+    return rules
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_survivors_ranking_equals_a_fresh_sort(monkeypatch, m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(12):
+        pop_size = int(rng.integers(2, 40))
+        # rounding forces tied coordinates and duplicate rows
+        objs = np.round(rng.random((pop_size + int(rng.integers(1, 60)), m)), 1)
+        for survive in _survival_rules(monkeypatch, m, pop_size):
+            ranked = nondominated_sort(objs)
+            keep = survive(ranked, rng)
+            assert len(np.unique(keep)) == pop_size
+            kept, fresh = _kept_ranking(ranked, keep), nondominated_sort(objs[keep])
+            for field in ("objectives", "rank", "crowding"):
+                assert getattr(kept, field).dtype == getattr(fresh, field).dtype
+                assert np.array_equal(getattr(kept, field), getattr(fresh, field))
+
+
+@pytest.mark.parametrize("run", [mboa_run, nsga3_run], ids=["mboa", "nsga3"])
+def test_censored_run_sorts_once_per_generation(monkeypatch, run):
+    sorted_rows = []
+
+    def counted(objectives, *args, **kwargs):
+        sorted_rows.append(len(objectives))
+        return nondominated_sort(objectives, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "nondominated_sort", counted)
+    inst = generate_instance(4, 10, 5, 2)
+    params = _params(epsilon=0.0)
+    result = run(inst, enumerate_pareto(inst), params)
+    assert not result.success and result.generations >= 3
+    # the initial population, then one merged pool per generation
+    assert len(sorted_rows) == result.generations + 1
+    assert sorted_rows[0] == params.pop_size
+    assert all(rows > params.pop_size for rows in sorted_rows[1:])
 
 
 # --- mboa --------------------------------------------------------------------------

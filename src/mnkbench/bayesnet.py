@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
-from .landscape import _read_json_object
+from .landscape import _read_json_object, _require
 
 __all__ = [
     "BNStructure",
@@ -273,16 +273,16 @@ def save_network_json(structure: BNStructure, cpts: CPTs, path: str | Path) -> N
 def load_network_json(path: str | Path) -> tuple[BNStructure, CPTs]:
     """Read a network file, checking its fields, the structure and every
     table against the structure; every rejection names the file."""
-    doc = _read_json_object(Path(path))
+    path = Path(path)
+    doc = _read_json_object(path)
+    parents, ordering, tables = (
+        _require(doc, key, list, path, ValueError) for key in ("parents", "ordering", "cpts")
+    )
     try:
-        parents = tuple(tuple(p) for p in doc["parents"])
-        structure = BNStructure(
-            n_vars=len(parents), parents=parents, ordering=tuple(doc["ordering"])
-        )
-        cpts = CPTs(tables=tuple(np.array(t, dtype=np.float64) for t in doc["cpts"]))
+        parents = tuple(tuple(p) for p in parents)
+        structure = BNStructure(n_vars=len(parents), parents=parents, ordering=tuple(ordering))
+        cpts = CPTs(tables=tuple(np.array(t, dtype=np.float64) for t in tables))
         _check_tables(structure, cpts)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return structure, cpts

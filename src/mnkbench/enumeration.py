@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .landscape import MNKInstance, bits_to_string, evaluate_batch, string_to_bits
-from .landscape import _read_json_object
+from .landscape import _read_json_object, _require
 
 __all__ = [
     "ParetoSet",
@@ -60,20 +60,27 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
 
     Rows equal to a non-dominated row are kept (duplicates are mutually
     non-dominating).  Scans candidates in decreasing objective-sum order so
-    strong points prune the bulk early.
+    strong points prune the bulk early.  Each step keeps the points that
+    beat the candidate in some objective or equal it in all, built as an
+    OR (and an AND) over one comparison per contiguous objective column.
     """
     objs = np.asarray(objectives, dtype=np.float64)
     n = objs.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
     order = np.argsort(-objs.sum(axis=1), kind="stable")
-    pts = objs[order]
+    cols = np.ascontiguousarray(objs[order].T)
     alive = np.arange(n)
     i = 0
-    while i < len(pts):
-        cand = pts[i]
-        keep = np.any(pts > cand, axis=1) | np.all(pts == cand, axis=1)
-        pts = pts[keep]
+    while i < cols.shape[1]:
+        cand = cols[:, i]
+        better = cols[0] > cand[0]
+        equal = cols[0] == cand[0]
+        for m in range(1, cols.shape[0]):
+            better |= cols[m] > cand[m]
+            equal &= cols[m] == cand[m]
+        keep = better | equal
+        cols = np.compress(keep, cols, axis=1)
         alive = alive[keep]
         i = int(np.count_nonzero(keep[:i])) + 1
     mask = np.zeros(n, dtype=bool)
@@ -354,15 +361,22 @@ def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:
 
 
 def load_pareto_json(path: str | Path) -> ParetoSet:
-    """Read a Pareto-set file, checking its fields, its version, its shapes
-    against ``n`` and ``m``, its bitstrings, and the sorted, unique row
-    order; every rejection names the file."""
-    doc = _read_json_object(Path(path))
-    try:
-        version, instance_id, n, m = doc["format_version"], doc["instance_id"], doc["n"], doc["m"]
-        strings, objectives = doc["solutions"], doc["objectives"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    """Read a Pareto-set file, checking its fields and their types, its
+    version, its shapes against ``n`` and ``m``, its bitstrings, its finite
+    objective values, and the sorted, unique row order; every rejection
+    names the file."""
+    path = Path(path)
+    doc = _read_json_object(path)
+    version = _require(doc, "format_version", int, path, ValueError)
+    instance_id = _require(doc, "instance_id", str, path, ValueError)
+    n = _require(doc, "n", int, path, ValueError)
+    m = _require(doc, "m", int, path, ValueError)
+    strings = _require(doc, "solutions", list, path, ValueError)
+    objectives = _require(doc, "objectives", list, path, ValueError)
+    if not all(isinstance(s, str) for s in strings):
+        raise ValueError(f"{path}: every solution must be a bitstring")
+    if not all(isinstance(row, list) for row in objectives):
+        raise ValueError(f"{path}: every objective row must be a list")
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format_version {version!r} (expected {_FORMAT_VERSION})"
@@ -377,10 +391,17 @@ def load_pareto_json(path: str | Path) -> ParetoSet:
         bits = [string_to_bits(s) for s in strings]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    try:
+        objs = np.array(objectives, dtype=np.float64).reshape(-1, m)
+        finite = bool(np.isfinite(objs).all())
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{path}: objective values must be finite numbers")
     pareto = ParetoSet(
         instance_id=instance_id,
         solutions=np.array(bits, dtype=np.uint8).reshape(-1, n),
-        objectives=np.array(objectives, dtype=np.float64).reshape(-1, m),
+        objectives=objs,
     )
     if np.any(pareto.codes[1:] <= pareto.codes[:-1]):
         raise ValueError(f"{path}: solutions are not in strictly increasing order")

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_EVAL_BLOCK = 1 << 13
 
 
 class MalformedInstanceError(ValueError):
@@ -105,7 +106,7 @@ class NKComponent:
                 raise MalformedInstanceError(
                     f"variable {var}: neighbor index out of range [0, {n})"
                 )
-        if np.any(tables < 0.0) or np.any(tables > 1.0):
+        if not np.all((tables >= 0.0) & (tables <= 1.0)):
             raise MalformedInstanceError("table entries must lie in [0, 1]")
         object.__setattr__(self, "neighbors", _freeze(neighbors))
         object.__setattr__(self, "tables", _freeze(tables))
@@ -119,20 +120,29 @@ class NKComponent:
         return self.neighbors.shape[1]
 
     @cached_property
-    def _lookup_indices(self) -> np.ndarray:
-        # column 0 is the variable itself (most significant table bit)
-        idx = np.empty((self.n_vars, self.k + 1), dtype=np.int32)
-        idx[:, 0] = np.arange(self.n_vars)
-        idx[:, 1:] = self.neighbors
-        return _freeze(idx)
+    def _index_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, offsets): a 0/1 row ``x`` reads table entry
+        ``(x @ W)[v] + offsets[v]`` of ``tables.ravel()`` for variable v.
+
+        ``W[p, v]`` is the table-index bit that variable p sets for variable
+        v, 2^K for v itself and 2^(K-c) for its c-th neighbor (c from 1), so
+        every index is a sum of distinct powers of two below 2^(K+1) and the
+        float64 product is exact in any summation order.
+        """
+        n, k = self.n_vars, self.k
+        weights = np.zeros((n, n), dtype=np.float64)
+        columns = np.column_stack([np.arange(n), self.neighbors])
+        weights[columns, np.arange(n)[:, None]] = 2.0 ** np.arange(k, -1, -1)
+        offsets = np.arange(n, dtype=np.intp) << (k + 1)
+        return _freeze(weights), _freeze(offsets)
 
     def contributions(self, solutions: np.ndarray) -> np.ndarray:
-        """Per-variable table lookups for a (B, N) batch; shape (B, N)."""
-        acc = np.zeros(solutions.shape, dtype=np.int32)
-        for col in range(self.k + 1):
-            acc <<= 1
-            acc |= solutions[:, self._lookup_indices[:, col]]
-        return self.tables[np.arange(self.n_vars), acc]
+        """Per-variable table lookups for a (B, N) float64 batch of 0/1
+        entries; shape (B, N)."""
+        weights, offsets = self._index_weights
+        index = (solutions @ weights).astype(np.intp)
+        index += offsets
+        return self.tables.ravel()[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NKComponent):
@@ -225,16 +235,24 @@ def generate_instance(
 
 
 def evaluate_batch(instance: MNKInstance, solutions: np.ndarray) -> np.ndarray:
-    """Objective vectors for a (B, N) batch of solutions; shape (B, M)."""
+    """Objective vectors for a (B, N) batch of solutions; shape (B, M).
+
+    Every entry must be 0 or 1 (any numeric or bool dtype).  The batch is
+    converted to float64 and evaluated in blocks of ``_EVAL_BLOCK`` rows,
+    so no temporary grows with B.
+    """
     solutions = np.asarray(solutions)
     if solutions.ndim != 2 or solutions.shape[1] != instance.n_vars:
         raise ValueError(
             f"expected shape (batch, {instance.n_vars}), got {solutions.shape}"
         )
-    solutions = solutions.astype(np.int32, copy=False)
     out = np.empty((solutions.shape[0], instance.m_objectives), dtype=np.float64)
-    for m, comp in enumerate(instance.components):
-        out[:, m] = comp.contributions(solutions).mean(axis=1)
+    for start in range(0, solutions.shape[0], _EVAL_BLOCK):
+        block = solutions[start : start + _EVAL_BLOCK].astype(np.float64)
+        if np.any((block != 0.0) & (block != 1.0)):
+            raise ValueError("solutions may hold only 0 and 1")
+        for m, comp in enumerate(instance.components):
+            out[start : start + len(block), m] = comp.contributions(block).mean(axis=1)
     return out
 
 
@@ -273,16 +291,21 @@ def save_instance(instance: MNKInstance, path: str | Path) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _require(doc: dict, key: str, kind: type, path: Path):
+def _require(
+    doc: dict, key: str, kind: type, path: Path, error: type[ValueError] = MalformedInstanceError
+):
+    """``doc[key]``, which must be an int (not a bool), str or list as
+    ``kind`` says; a missing or mistyped field raises ``error`` naming
+    the file."""
     if key not in doc:
-        raise MalformedInstanceError(f"{path}: missing field {key!r}")
+        raise error(f"{path}: missing field {key!r}")
     value = doc[key]
     if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise MalformedInstanceError(f"{path}: field {key!r} must be an integer")
+        raise error(f"{path}: field {key!r} must be an integer")
     if kind is str and not isinstance(value, str):
-        raise MalformedInstanceError(f"{path}: field {key!r} must be a string")
+        raise error(f"{path}: field {key!r} must be a string")
     if kind is list and not isinstance(value, list):
-        raise MalformedInstanceError(f"{path}: field {key!r} must be a list")
+        raise error(f"{path}: field {key!r} must be a list")
     return value
 
 

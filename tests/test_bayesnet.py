@@ -268,14 +268,24 @@ def _short_table(doc):
     doc["cpts"][1] = doc["cpts"][1][:1]
 
 
+def _set(field, value):
+    def edit(doc):
+        doc[field] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_drop_cpts, "missing field 'cpts'"),
         (_short_cpts, "CPT count does not match the structure"),
         (_short_table, "variable 1: table has 1 rows, structure needs 2"),
+        (_set("parents", 5), "field 'parents' must be a list"),
+        (_set("cpts", 5), "field 'cpts' must be a list"),
+        (_set("ordering", 5), "field 'ordering' must be a list"),
     ],
-    ids=["missing-cpts", "short-cpts", "short-table"],
+    ids=["missing-cpts", "short-cpts", "short-table", "parents-int", "cpts-int", "ordering-int"],
 )
 def test_network_json_rejects_malformed_file_naming_it(tmp_path, edit, message):
     path = tmp_path / "net.json"

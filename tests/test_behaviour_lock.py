@@ -25,6 +25,9 @@ Locked:
   files and so shows that adding them changed no other byte, and one over
   ``features/``;
 * ``monte_carlo_hypervolume`` on one fixed M=5 front;
+* ``evaluate_batch`` on seeded random batches of 0 to 20,000 rows, which
+  cross every row-block edge, as uint8, bool and int64 arrays, at K=0,
+  K=N-1, M=1 and M=8;
 * the offline stage at N=18, where enumeration runs several chunks: the
   ``enumerate_pareto`` bytes and (avgd, maxd, nconnec, lconnec, kconnec)
   of three fronts of 129 to 1,475 points.
@@ -41,7 +44,7 @@ import pytest
 from mnkbench.enumeration import enumerate_pareto
 from mnkbench.experiment import ExperimentConfig, cmd_all
 from mnkbench.features import connectivity, monte_carlo_hypervolume, pareto_distances
-from mnkbench.landscape import generate_instance
+from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import RunParams, mboa_run, nsga3_run
 
 
@@ -206,6 +209,50 @@ def test_monte_carlo_hypervolume_locked():
         "0x1.832e13277e3a1p-3",
         "0x1.500a1bd685ed9p-13",
     )
+
+
+# (instance seed, N, M, K) -> digest of evaluate_batch on random batches of
+# every size in EVALUATE_SIZES, each given as uint8, bool and int64
+EVALUATE_SIZES = (0, 1, 8_191, 8_192, 8_193, 20_000)
+EVALUATE_CASES = {
+    "n18-m2-k2": (
+        (7, 18, 2, 2),
+        "88be11a4dba6e454856cda1e61385e69c8d9fbf15bea4abf2d023c1e3fe7aa7b",
+    ),
+    "n18-m5-k8": (
+        (7, 18, 5, 8),
+        "b34aea5924bf87e4b5bbc57da74b7178d90f9646a85e12b5e98dcab86a6e0b9d",
+    ),
+    "n10-m1-k0": (
+        (3, 10, 1, 0),
+        "553a986661d4c25f79809b7589c5208d5da50d57048938c9d5110d4affe9adad",
+    ),
+    "n10-m8-k9": (
+        (4, 10, 8, 9),
+        "e65c245885a36f0eaf895be6dd37cbd3d94648e64f7be239cc033c3d8149edec",
+    ),
+    "n14-m3-k13": (
+        (5, 14, 3, 13),
+        "4707f48c825dfea34b4f9a96916a8c741529df8dd15405e786818be0823d9c29",
+    ),
+}
+
+
+def _evaluate_digest(seed: int, n: int, m: int, k: int) -> str:
+    instance = generate_instance(seed, n, m, k)
+    rng = np.random.default_rng([seed, n, m, k])
+    digest = hashlib.sha256()
+    for size in EVALUATE_SIZES:
+        bits = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+        for dtype in (np.uint8, np.bool_, np.int64):
+            _feed_array(digest, evaluate_batch(instance, bits.astype(dtype)))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
+def test_evaluate_batch_locked(case):
+    args, expected = EVALUATE_CASES[case]
+    assert _evaluate_digest(*args) == expected
 
 
 # (M, K) on generate_instance(7, 18, M, K): fronts of 129, 1,475 and 1,455

@@ -123,6 +123,25 @@ def test_duplicate_objective_vectors_are_retained():
     assert mask.tolist() == [True, True, True, True, False]
 
 
+@st.composite
+def _objective_rows(draw, m):
+    """One-decimal objective rows, some repeated, in a drawn order."""
+    coordinate = st.integers(0, 10).map(lambda v: v / 10)
+    base = draw(st.lists(st.lists(coordinate, min_size=m, max_size=m), min_size=1, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=10))
+    rows = base + repeats
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.float64).reshape(-1, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pareto_mask_matches_pairwise_oracle(m, data):
+    objs = data.draw(_objective_rows(m))
+    assert np.array_equal(pareto_mask(objs), oracles.pairwise_pareto_mask(objs))
+
+
 # --- nondominated_sort -----------------------------------------------------------
 
 
@@ -352,6 +371,14 @@ def _break_doc(doc, how):
         del doc["n"]
     elif how == "bad-character":
         doc["solutions"][1] = doc["solutions"][1][:-1] + "x"
+    elif how == "solutions-not-list":
+        doc["solutions"] = 5
+    elif how == "objectives-not-list":
+        doc["objectives"] = 5
+    elif how == "objective-not-number":
+        doc["objectives"][1][1] = "x"
+    elif how == "objective-null":
+        doc["objectives"][1][0] = None
 
 
 @pytest.mark.parametrize(
@@ -365,6 +392,10 @@ def _break_doc(doc, how):
         ("duplicate", "strictly increasing"),
         ("missing-field", "missing field 'n'"),
         ("bad-character", "only 0/1"),
+        ("solutions-not-list", "field 'solutions' must be a list"),
+        ("objectives-not-list", "field 'objectives' must be a list"),
+        ("objective-not-number", "objective values must be finite numbers"),
+        ("objective-null", "objective values must be finite numbers"),
     ],
 )
 def test_load_pareto_json_rejects_malformed_file(tmp_path, how, message):

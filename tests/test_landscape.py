@@ -114,6 +114,20 @@ def test_evaluate_rejects_wrong_length():
         evaluate(inst, np.zeros(9, dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "value, dtype, rows",
+    [(2, np.uint8, 3), (-1, np.int64, 3), (2, np.uint8, 8_200)],
+    ids=["two", "minus-one-int64", "two-in-a-later-block"],
+)
+def test_evaluate_batch_rejects_entries_other_than_0_and_1(value, dtype, rows):
+    # at the parent a -1 in an int64 batch returned an objective vector
+    inst = generate_instance(1, 6, 2, 2)
+    batch = np.zeros((rows, 6), dtype=dtype)
+    batch[-1, 0] = value
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        evaluate_batch(inst, batch)
+
+
 def test_table_entry_distribution_is_uniform():
     # 100 * 2 * 2^9 = 102,400 entries; seeded, mean must sit near 1/2
     inst = generate_instance(2024, 100, 2, 8)
@@ -179,6 +193,16 @@ def test_load_rejects_self_neighbor(tmp_path):
 def test_load_rejects_out_of_range_table_value(tmp_path):
     def mutate(doc):
         doc["components"][0]["tables"][0][0] = 1.5
+
+    path = _write_tampered(tmp_path, mutate)
+    with pytest.raises(MalformedInstanceError, match=r"\[0, 1\]"):
+        load_instance(path)
+
+
+def test_load_rejects_null_table_value(tmp_path):
+    # a null entry loads as NaN, which neither bound comparison catches
+    def mutate(doc):
+        doc["components"][0]["tables"][0][0] = None
 
     path = _write_tampered(tmp_path, mutate)
     with pytest.raises(MalformedInstanceError, match=r"\[0, 1\]"):

@@ -6,6 +6,8 @@ table per variable.  Structure search is the classic K2 greedy procedure:
 visit variables in a fixed ordering and repeatedly add the predecessor
 parent that most increases the marginal-likelihood score under uniform
 Dirichlet priors, stopping at ``max_parents`` or when no addition helps.
+One ``np.bincount`` counts every candidate of a greedy step, and one
+formula scores the counts from a table of log Gamma values.
 Parameters are Bayesian estimates with add-one smoothing,
 ``theta = (1 + N_jk) / (s + N_j)`` with ``s = 2`` states, so no
 probability is ever exactly 0 or 1.
@@ -117,19 +119,29 @@ def _as_dataset(data: np.ndarray, n_vars: int) -> np.ndarray:
     return arr
 
 
-def _parent_index(data: np.ndarray, parents: tuple[int, ...]) -> np.ndarray:
-    """Row index j of each observation's parent-value combination."""
+def _parent_index(data: np.ndarray, parents) -> np.ndarray:
+    """Row index j of each observation's parent-value combination: (rows,)
+    for one sorted tuple, (tuples, rows) for a list of q-tuples."""
     j = np.zeros(data.shape[0], dtype=np.int64)
-    for p in parents:
-        j = (j << 1) | data[:, p]
+    for p in np.asarray(parents).T:
+        j = (j << 1) | data.T[p]
     return j
 
 
-def _counts(data: np.ndarray, var: int, parents: tuple[int, ...]) -> np.ndarray:
-    j = _parent_index(data, parents)
-    idx = j * _STATES + data[:, var]
-    size = (1 << len(parents)) * _STATES
-    return np.bincount(idx, minlength=size).reshape(-1, _STATES)
+def _counts(data: np.ndarray, var: int, parent_sets) -> np.ndarray:
+    """Counts N_jk of ``var`` under each sorted parent tuple of one size q,
+    as a (tuples, 2^q, 2) array, from one ``np.bincount`` over offset cells."""
+    n_sets, cells = len(parent_sets), _STATES << len(parent_sets[0])
+    offsets = np.arange(n_sets)[:, np.newaxis] * cells
+    idx = offsets + _parent_index(data, parent_sets) * _STATES + data[:, var]
+    return np.bincount(idx.ravel(), minlength=n_sets * cells).reshape(n_sets, -1, _STATES)
+
+
+def _k2_scores(counts: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
+    """K2 score of each tuple's counts, with ``lgamma[n]`` = log Gamma(n):
+    sum_j [ sum_k lgamma(N_jk + 1) - lgamma(N_j + s) ], as lgamma(s) = 0."""
+    flat = counts.reshape(len(counts), -1)
+    return lgamma[flat + 1].sum(axis=1) - lgamma[counts.sum(axis=2) + _STATES].sum(axis=1)
 
 
 def fit_parameters(structure: BNStructure, data: np.ndarray) -> CPTs:
@@ -141,27 +153,16 @@ def fit_parameters(structure: BNStructure, data: np.ndarray) -> CPTs:
     data = _as_dataset(data, structure.n_vars)
     tables = []
     for v in range(structure.n_vars):
-        counts = _counts(data, v, structure.parents[v]) if data.shape[0] else np.zeros(
-            (1 << len(structure.parents[v]), _STATES), dtype=np.int64
-        )
-        rows = counts.sum(axis=1, keepdims=True)
-        tables.append((1.0 + counts) / (_STATES + rows))
+        counts = _counts(data, v, [structure.parents[v]])[0]
+        tables.append((1.0 + counts) / (_STATES + counts.sum(axis=1, keepdims=True)))
     return CPTs(tables=tuple(tables))
 
 
 def k2_score(data: np.ndarray, var: int, parents: tuple[int, ...]) -> float:
-    """Log marginal likelihood of one variable's local structure.
-
-    Cooper-Herskovitz score with uniform Dirichlet priors:
-    sum_j [ lgamma(s) - lgamma(N_j + s) + sum_k lgamma(N_jk + 1) ].
-    """
-    counts = _counts(data, var, tuple(sorted(parents)))
-    rows = counts.sum(axis=1)
-    return float(
-        counts.shape[0] * gammaln(_STATES)
-        - gammaln(rows + _STATES).sum()
-        + gammaln(counts + 1).sum()
-    )
+    """Log marginal likelihood of one variable's local structure: the
+    Cooper-Herskovitz score with uniform Dirichlet priors that ``k2_learn`` climbs."""
+    lgamma = gammaln(np.arange(data.shape[0] + _STATES + 1))
+    return float(_k2_scores(_counts(data, var, [tuple(sorted(parents))]), lgamma)[0])
 
 
 def k2_learn(
@@ -173,6 +174,7 @@ def k2_learn(
     predecessors in the ordering, always the candidate with the largest
     strict score improvement (ties fall to the lowest variable index),
     until no candidate improves the score or ``max_parents`` is reached.
+    One count and one table lookup score all candidates of a step.
     """
     order = tuple(int(v) for v in np.asarray(ordering).ravel())
     n_vars = len(order)
@@ -181,27 +183,23 @@ def k2_learn(
     if max_parents < 0:
         raise ValueError("max_parents must be non-negative")
     data = _as_dataset(data, n_vars)
+    lgamma = gammaln(np.arange(data.shape[0] + _STATES + 1))
 
     parents: list[tuple[int, ...]] = [() for _ in range(n_vars)]
     for pos, var in enumerate(order):
         current: tuple[int, ...] = ()
-        current_score = k2_score(data, var, current)
-        predecessors = sorted(order[:pos])
-        while len(current) < max_parents:
-            best_candidate = None
-            best_score = current_score
-            for cand in predecessors:
-                if cand in current:
-                    continue
-                score = k2_score(data, var, current + (cand,))
-                if score > best_score:
-                    best_score = score
-                    best_candidate = cand
-            if best_candidate is None:
+        current_score = _k2_scores(_counts(data, var, [current]), lgamma)[0]
+        remaining = sorted(order[:pos])
+        while remaining and len(current) < max_parents:
+            candidates = [sorted(current + (c,)) for c in remaining]
+            scores = _k2_scores(_counts(data, var, candidates), lgamma)
+            # argmax takes the first maximum: the lowest-index candidate
+            best = int(np.argmax(scores))
+            if scores[best] <= current_score:
                 break
-            assert best_score > current_score  # greedy steps strictly improve
-            current = tuple(sorted(current + (best_candidate,)))
-            current_score = best_score
+            current = tuple(candidates[best])
+            current_score = scores[best]
+            del remaining[best]
         parents[var] = current
     return BNStructure(n_vars=n_vars, parents=tuple(parents), ordering=order)
 

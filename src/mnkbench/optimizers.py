@@ -173,8 +173,7 @@ def _witness_charge(
     so the check costs O(pool * M) and the full check is skipped;
     otherwise the full check either succeeds or names the new witness.
     """
-    scaled = (1.0 + params.epsilon) * objs
-    if not (exact.objectives[witness] <= scaled).all(axis=1).any():
+    if _first_uncovered(objs, exact.objectives[[witness]], params.epsilon) is not None:
         return None, witness
     uncovered = _first_uncovered(objs, exact, params.epsilon)
     if uncovered is not None:

@@ -1,12 +1,16 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from mnkbench.bayesnet import (
     BNStructure,
     CPTs,
+    _counts,
+    _k2_scores,
     fit_parameters,
     joint_pmf,
     k2_learn,
@@ -141,6 +145,41 @@ def test_k2_score_agrees_with_exact_rational():
         expected = oracles.k2_score_exact(data, 2, parents)
         got = k2_score(data, 2, parents)
         assert got == pytest.approx(float(np.log(float(expected))), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 50])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_batched_step_scores_match_k2_score_and_exact(rows, q):
+    # one greedy step for variable 7: the current parents (the first q-1 of
+    # 2, 4, 1) plus each remaining candidate; columns 3 and 6 copy column 1
+    rng = np.random.default_rng([rows, q])
+    data = rng.integers(0, 2, size=(rows, 8), dtype=np.uint8)
+    data[:, 3] = data[:, 6] = data[:, 1]
+    current = (2, 4, 1)[: max(q - 1, 0)]
+    if q == 0:
+        tuples = [()]
+    else:
+        tuples = [tuple(sorted(current + (c,))) for c in range(7) if c not in current]
+    lgamma = gammaln(np.arange(rows + 3))
+    scores = _k2_scores(_counts(data, 7, tuples), lgamma)
+    assert scores.shape == (len(tuples),)
+    for parents, score in zip(tuples, scores):
+        assert score == k2_score(data, 7, parents)
+        exact = oracles.k2_score_exact(data, 7, parents)
+        expected = math.log(exact.numerator) - math.log(exact.denominator)
+        assert score == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_k2_tie_takes_the_lower_index():
+    # columns 0 and 3 are identical and 2 copies them, so as parents of 2
+    # they tie; 3 comes first in the ordering, 0 must still win
+    rng = np.random.default_rng(5)
+    data = rng.integers(0, 2, size=(100, 4), dtype=np.uint8)
+    data[:, 3] = data[:, 2] = data[:, 0]
+    assert k2_score(data, 2, (0,)) == k2_score(data, 2, (3,))
+    structure = k2_learn(data, np.array([3, 1, 0, 2]), 3)
+    assert structure.parents[2] == (0,)
+    assert structure.parents[0] == (3,)
 
 
 def test_k2_respects_ordering():

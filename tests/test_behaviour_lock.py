@@ -25,6 +25,10 @@ Locked:
   files and so shows that adding them changed no other byte, and one over
   ``features/``;
 * ``monte_carlo_hypervolume`` on one fixed M=5 front;
+* ``k2_learn`` alone on 60 seeded 50x18 datasets (the default ``pgm_size``
+  by N) with ``max_parents`` 3 and random orderings, among them datasets
+  with duplicated and noisy copied columns, so greedy steps add up to three
+  parents and break score ties;
 * ``evaluate_batch`` on seeded random batches of 0 to 20,000 rows, which
   cross every row-block edge, as uint8, bool and int64 arrays, at K=0,
   K=N-1, M=1 and M=8;
@@ -41,6 +45,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mnkbench.bayesnet import k2_learn
 from mnkbench.enumeration import enumerate_pareto
 from mnkbench.experiment import ExperimentConfig, cmd_all
 from mnkbench.features import connectivity, monte_carlo_hypervolume, pareto_distances
@@ -209,6 +214,30 @@ def test_monte_carlo_hypervolume_locked():
         "0x1.832e13277e3a1p-3",
         "0x1.500a1bd685ed9p-13",
     )
+
+
+K2_DIGEST = "739590ac91d6468e11202b0fe7113ff047bad1e620c58d553d66ef7aaa2e7de3"
+
+
+def _k2_dataset(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A 50x18 dataset and an ordering; every third copies columns exactly,
+    every third copies them with one flip in ten."""
+    rng = np.random.default_rng([seed, 50, 18])
+    data = rng.integers(0, 2, size=(50, 18), dtype=np.uint8)
+    if seed % 3:
+        sources = rng.integers(0, 18, size=6)
+        targets = rng.integers(0, 18, size=6)
+        flips = (rng.random((50, 6)) < 0.1) if seed % 3 == 2 else np.zeros((50, 6), bool)
+        data[:, targets] = data[:, sources] ^ flips
+    return data, rng.permutation(18)
+
+
+def test_k2_structures_locked():
+    digest = hashlib.sha256()
+    for seed in range(60):
+        structure = k2_learn(*_k2_dataset(seed), 3)
+        digest.update(repr((structure.ordering, structure.parents)).encode())
+    assert digest.hexdigest() == K2_DIGEST
 
 
 # (instance seed, N, M, K) -> digest of evaluate_batch on random batches of

@@ -125,9 +125,10 @@ def test_success_charge_is_the_first_covering_prefix(case):
 def test_witness_moves_to_an_uncovered_point(monkeypatch):
     full_checks = []
 
-    def counted(*args):
-        full_checks.append(args)
-        return _first_uncovered(*args)
+    def counted(candidates, points, epsilon):
+        # the precheck passes the witness row alone, a full check the exact set
+        full_checks.append(points is exact)
+        return _first_uncovered(candidates, points, epsilon)
 
     monkeypatch.setattr(optimizers, "_first_uncovered", counted)
     exact = ParetoSet(
@@ -138,15 +139,15 @@ def test_witness_moves_to_an_uncovered_point(monkeypatch):
     params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=0.0)
     # the witness is uncovered: no success, and no full check
     assert _witness_charge(np.array([[0.5, 0.5]]), 0, exact, params, 0) == (None, 0)
-    assert len(full_checks) == 0
+    assert full_checks == [False]
     # the witness is covered but point 1 is not: the witness moves there
     assert _witness_charge(np.array([[1.0, 0.0]]), 0, exact, params, 0) == (None, 1)
     # the new witness is covered while point 0 is uncovered again
     assert _witness_charge(np.array([[0.0, 1.0]]), 0, exact, params, 1) == (None, 0)
-    assert len(full_checks) == 2
+    assert sum(full_checks) == 2
     pool = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     assert _witness_charge(pool, 1, exact, params, 0) == (2, 0)
-    assert len(full_checks) == 3
+    assert sum(full_checks) == 3
 
 
 # --- binary tournament ------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "enumerate_pareto",
     "nondominated_sort",
     "epsilon_success",
-    "epsilon_cover_prefix",
     "save_pareto_json",
     "load_pareto_json",
     "save_pareto_csv",
@@ -221,13 +220,6 @@ def _ranking(objs: np.ndarray, rank: np.ndarray) -> RankedPopulation:
     return RankedPopulation(objectives=objs, rank=rank, crowding=crowding)
 
 
-def _kept_ranking(ranked: RankedPopulation, keep: np.ndarray) -> RankedPopulation:
-    """``nondominated_sort(ranked.objectives[keep])``, without sorting, when
-    ``keep`` holds every row ranked below its worst rank: each kept row then
-    keeps its dominators and so its rank, and only crowding is recomputed."""
-    return _ranking(ranked.objectives[keep], ranked.rank[keep])
-
-
 def nondominated_sort(objectives: np.ndarray) -> RankedPopulation:
     """Fast non-dominated sorting with crowding distances.
 
@@ -299,19 +291,26 @@ def _covering_blocks(
         yield covered
 
 
-def _first_uncovered(
+def _coverage(
     candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
-) -> int | None:
-    """Index of the first exact point no scaled candidate covers, or None
-    if the candidates are a (1+epsilon)-approximation.  Stops at the first
-    block that holds an uncovered point."""
-    start = 0
+) -> tuple[int | None, int]:
+    """One coverage pass: ``(index of the first exact point no scaled
+    candidate covers, 0)``, or ``(None, length of the shortest prefix of
+    candidates that covers)`` if the candidates are a
+    (1+epsilon)-approximation.
+
+    Stops at the first block that holds an uncovered point.  Coverage only
+    grows with the prefix, so the shortest covering prefix reaches the
+    latest of the exact points' first covering candidates.
+    """
+    start = prefix = 0
     for covered in _covering_blocks(candidates, exact, epsilon):
         hit = covered.any(axis=1)
         if not hit.all():
-            return start + int(hit.argmin())
+            return start + int(hit.argmin()), 0
+        prefix = max(prefix, int(covered.argmax(axis=1).max()) + 1)
         start += covered.shape[0]
-    return None
+    return None, prefix
 
 
 def epsilon_success(
@@ -326,26 +325,7 @@ def epsilon_success(
     preserves dominance, so a set covers exactly when its non-dominated
     subset does; candidates need no Pareto filtering first.
     """
-    return _first_uncovered(candidates, exact, epsilon) is None
-
-
-def epsilon_cover_prefix(
-    candidates: np.ndarray, exact: "ParetoSet | np.ndarray", epsilon: float
-) -> int | None:
-    """Length of the shortest prefix of ``candidates`` that is a
-    (1+epsilon)-approximation, or None if the whole set is not.
-
-    One pass finds each exact point's first covering candidate; the prefix
-    must reach the latest of them.  Agrees with ``epsilon_success`` on
-    every prefix: ``epsilon_success(candidates[:j], ...)`` holds exactly
-    when ``j`` is at least the returned length.
-    """
-    prefix = 0
-    for covered in _covering_blocks(candidates, exact, epsilon):
-        if not covered.any(axis=1).all():
-            return None
-        prefix = max(prefix, int(covered.argmax(axis=1).max()) + 1)
-    return prefix
+    return _coverage(candidates, exact, epsilon)[0] is None
 
 
 def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:

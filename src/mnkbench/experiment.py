@@ -25,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analysis import ErtRecord, estimate_ert, pareto_pmf_view, regression_report
 from .bayesnet import load_network_json, save_network_json
@@ -189,6 +189,14 @@ def _atomic_text(path: Path, text: str) -> None:
 
 def _atomic_json(path: Path, doc) -> None:
     _atomic_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_text(path, buffer.getvalue())
 
 
 def _read_run_record(path: Path) -> dict:
@@ -367,14 +375,16 @@ def cmd_features(config: ExperimentConfig, jobs: int = 1) -> Path:
 def _write_features_csv(
     config: ExperimentConfig, table: dict[str, FeatureVector]
 ) -> Path:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(FEATURE_COLUMNS)
-    for instance_id, features in table.items():
-        values = [str(v) if isinstance(v, int) else _float_repr(v) for v in astuple(features)]
-        writer.writerow([instance_id, *values])
     out = _dir(config, "reports") / "features.csv"
-    _atomic_text(out, buffer.getvalue())
+    _write_csv(
+        out,
+        FEATURE_COLUMNS,
+        (
+            [instance_id]
+            + [str(v) if isinstance(v, int) else _float_repr(v) for v in astuple(features)]
+            for instance_id, features in table.items()
+        ),
+    )
     return out
 
 
@@ -406,20 +416,20 @@ def cmd_ert(config: ExperimentConfig) -> Path:
 
 
 def _write_ert_csv(config: ExperimentConfig, records: list[ErtRecord]) -> Path:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["instance_id", "algorithm", "p_hat", "ert"])
-    for rec in sorted(records, key=lambda r: (r.instance_id, r.algorithm)):
-        writer.writerow(
+    out = _dir(config, "reports") / "ert.csv"
+    _write_csv(
+        out,
+        ["instance_id", "algorithm", "p_hat", "ert"],
+        (
             [
                 rec.instance_id,
                 rec.algorithm,
                 _float_repr(rec.p_hat),
                 "" if rec.censored else _float_repr(rec.ert),
             ]
-        )
-    out = _dir(config, "reports") / "ert.csv"
-    _atomic_text(out, buffer.getvalue())
+            for rec in sorted(records, key=lambda r: (r.instance_id, r.algorithm))
+        ),
+    )
     return out
 
 
@@ -477,15 +487,13 @@ def cmd_pmf_view(config: ExperimentConfig) -> list[Path]:
         pareto = load_pareto_json(_pareto_path(config, instance_id))
         entries = pareto_pmf_view(models, pareto)
         m = pareto.objectives.shape[1]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(
+        path = out_dir / f"{instance_id}.csv"
+        _write_csv(
+            path,
             ["bitstring"]
             + [f"z_{i + 1}" for i in range(m)]
-            + ["mean_pmf", "dist_to_ideal", "rank"]
-        )
-        for entry in entries:
-            writer.writerow(
+            + ["mean_pmf", "dist_to_ideal", "rank"],
+            (
                 [entry.bitstring]
                 + [_float_repr(v) for v in entry.objectives]
                 + [
@@ -493,9 +501,9 @@ def cmd_pmf_view(config: ExperimentConfig) -> list[Path]:
                     _float_repr(entry.dist_to_ideal),
                     str(entry.rank),
                 ]
-            )
-        path = out_dir / f"{instance_id}.csv"
-        _atomic_text(path, buffer.getvalue())
+                for entry in entries
+            ),
+        )
         written.append(path)
     return written
 

@@ -7,8 +7,9 @@ for success (the population forming a (1+epsilon)-approximation of the
 exact Pareto set) after the initial population and after each
 generation's batch of new evaluations.  Each such test first checks the
 one exact Pareto point the last full coverage check found uncovered (the
-witness); only when the population plus batch covers it does a full
-check run, which either succeeds or names the next witness.  The last
+witness); only when the population plus batch covers it does one full
+coverage pass run, which either names the next witness or gives the
+shortest covering prefix, and so the charge.  The last
 batch before the budget runs out is truncated to the remaining
 evaluations, so a run that never succeeds consumes and reports exactly
 ``evaluations = t_max``.  Each generation sorts the merged pool once;
@@ -41,9 +42,8 @@ from .bayesnet import sample as bn_sample
 from .enumeration import (
     ParetoSet,
     RankedPopulation,
-    _first_uncovered,
-    _kept_ranking,
-    epsilon_cover_prefix,
+    _coverage,
+    _ranking,
     epsilon_success,
     nondominated_sort,
     pareto_mask,
@@ -79,10 +79,10 @@ class RunParams:
     """Shared run parameters for both optimizers.
 
     A successful run is charged up to the exact first evaluation at which
-    the pool became a (1+epsilon)-approximation (one pass finds, for each
-    exact Pareto point, the first solution covering it; the latest of those
-    is the charge), so runtimes are comparable between algorithms with
-    different batch sizes.
+    the pool became a (1+epsilon)-approximation (the full coverage pass that
+    finds success also finds, for each exact Pareto point, the first
+    solution covering it; the latest of those is the charge), so runtimes
+    are comparable between algorithms with different batch sizes.
     """
 
     pop_size: int
@@ -146,41 +146,26 @@ def binary_tournament(
     return np.where(first, a, np.where(second, b, np.where(coins, a, b)))
 
 
-def _success_charge(
-    objs: np.ndarray, prev: int, exact: ParetoSet, params: RunParams
-) -> int | None:
-    """Evaluations charged to the newest batch if the pool now covers.
-
-    ``objs`` stacks the previous population (its first ``prev`` rows) and
-    the freshly evaluated batch.  Returns None when the pool is not a
-    (1+epsilon)-approximation.  Otherwise it charges the shortest batch
-    prefix whose union with the previous population covers, at least one
-    evaluation.
-    """
-    if not epsilon_success(objs, exact, params.epsilon):
-        return None
-    return max(1, epsilon_cover_prefix(objs, exact, params.epsilon) - prev)
-
-
 def _witness_charge(
     objs: np.ndarray, prev: int, exact: ParetoSet, params: RunParams, witness: int
 ) -> tuple[int | None, int]:
-    """``_success_charge`` behind a one-point precheck; returns the charge
-    and the witness for the next call.
+    """Evaluations charged to the newest batch if the pool now covers, and
+    the witness for the next call.
 
-    ``witness`` indexes the exact point the last full check found
-    uncovered.  While the pool leaves it uncovered the pool cannot cover,
-    so the check costs O(pool * M) and the full check is skipped;
-    otherwise the full check either succeeds or names the new witness.
+    ``objs`` stacks the previous population (its first ``prev`` rows) and
+    the freshly evaluated batch.  ``witness`` indexes the exact point the
+    last full check found uncovered.  While the pool leaves it uncovered
+    the pool cannot cover, so the check costs O(pool * M) and the full
+    check is skipped.  Otherwise one full pass either names the new witness
+    or gives the shortest covering prefix of ``objs``; the charge is the
+    part of it in the batch, at least one evaluation.
     """
-    if _first_uncovered(objs, exact.objectives[[witness]], params.epsilon) is not None:
+    if not epsilon_success(objs, exact.objectives[witness : witness + 1], params.epsilon):
         return None, witness
-    uncovered = _first_uncovered(objs, exact, params.epsilon)
+    uncovered, prefix = _coverage(objs, exact, params.epsilon)
     if uncovered is not None:
         return None, uncovered
-    # the success generation repeats the full check inside _success_charge,
-    # once per run, so every charge goes through one rule
-    return _success_charge(objs, prev, exact, params), witness
+    return max(1, prefix - prev), witness
 
 
 # (population bits, their ranking, batch size, rng) -> (new solutions, their model)
@@ -233,7 +218,10 @@ def _evolve(
         if generation:
             merged = nondominated_sort(objs)
             keep = survive(merged, rng)
-            bits, objs, ranked = bits[keep], objs[keep], _kept_ranking(merged, keep)
+            # keep holds every row ranked below the worst kept rank, so each
+            # kept row keeps its dominators and its rank; only crowding changes
+            bits, objs = bits[keep], objs[keep]
+            ranked = _ranking(objs, merged.rank[keep])
             if on_generation is not None:
                 on_generation(generation, bits, objs)
         else:

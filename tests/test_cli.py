@@ -1,12 +1,14 @@
+import csv
 import json
 import shutil
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 from mnkbench import experiment
 from mnkbench.cli import main
-from mnkbench.enumeration import load_pareto_json
+from mnkbench.enumeration import enumerate_pareto, load_pareto_json
 from mnkbench.experiment import (
     ExperimentConfig,
     cmd_all,
@@ -452,6 +454,26 @@ def test_features_independent_of_jobs(tmp_path):
         trees.append((_tree_bytes(root / "features"), _tree_bytes(root / "reports")))
     assert len(trees[0][0]) == len(instance_ids(config))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: no config fingerprint")
+def test_features_follow_a_regenerated_campaign(tmp_path):
+    # gen at another master seed rewrites the instances under the same ids,
+    # so every feature row must come from the new instance's own Pareto set
+    config = _tiny_config(tmp_path)
+    cfg_path = _write_config(tmp_path, config)
+    for seed in ("1", "2"):
+        assert main(["--config", str(cfg_path), "--seed", seed, "gen"]) == 0
+        assert main(["--config", str(cfg_path), "--seed", seed, "features"]) == 0
+    root = Path(config.output_dir)
+    with open(root / "reports" / "features.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[0] for row in rows] == sorted(instance_ids(config))
+    for row in rows:
+        instance = load_instance(root / "instances" / f"{row[0]}.json")
+        features = extract_features(instance, enumerate_pareto(instance))
+        expected = [str(v) if isinstance(v, int) else repr(float(v)) for v in astuple(features)]
+        assert row[1:] == expected, row[0]
 
 
 def test_regress_insufficient_data(tmp_path):

@@ -313,10 +313,15 @@ def test_covering_blocks_match_oracle(m, pool, exact_from, epsilon):
 @COVERAGE_CASES
 def test_first_uncovered_matches_oracle(m, pool, exact_from, epsilon):
     cand, exact = _coverage_case(m, pool, exact_from)
-    hit = oracles.covering_matrix(cand, exact, epsilon).any(axis=1)
-    expected = None if hit.all() else int(np.argmin(hit))
-    assert enumeration._first_uncovered(cand, exact, epsilon) == expected
-    assert epsilon_success(cand, exact, epsilon) == (expected is None)
+    covered = oracles.covering_matrix(cand, exact, epsilon)
+    hit = covered.any(axis=1)
+    if hit.all():
+        # each exact point's first covering candidate; the prefix must reach the latest
+        expected = (None, 1 + max(int(np.flatnonzero(row)[0]) for row in covered))
+    else:
+        expected = (int(np.argmin(hit)), 0)
+    assert enumeration._coverage(cand, exact, epsilon) == expected
+    assert epsilon_success(cand, exact, epsilon) == (expected[0] is None)
 
 
 def test_first_uncovered_indexes_later_blocks_globally():
@@ -325,7 +330,7 @@ def test_first_uncovered_indexes_later_blocks_globally():
     exact = np.zeros((step + 10, 2))
     exact[step + 3] = 2.0
     assert len(list(enumeration._covering_blocks(cand, exact, 0.0))) == 2
-    assert enumeration._first_uncovered(cand, exact, 0.0) == step + 3
+    assert enumeration._coverage(cand, exact, 0.0)[0] == step + 3
 
 
 # --- persistence -----------------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mnkbench import optimizers
+from mnkbench import enumeration, optimizers
 from mnkbench.enumeration import (
     ParetoSet,
-    _first_uncovered,
-    _kept_ranking,
+    _coverage,
+    _ranking,
     enumerate_pareto,
     epsilon_success,
     nondominated_sort,
@@ -19,7 +19,6 @@ from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import (
     RunParams,
     _normalize,
-    _success_charge,
     _witness_charge,
     binary_tournament,
     mboa_run,
@@ -93,6 +92,15 @@ def _brute_force_charge(prev, batch, exact, epsilon):
     return None
 
 
+def _toy_pareto(objectives):
+    """A ParetoSet holding ``objectives``; its one-bit solutions play no part."""
+    return ParetoSet(
+        instance_id="toy",
+        solutions=np.zeros((objectives.shape[0], 1), dtype=np.uint8),
+        objectives=objectives,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(coverage_cases())
 # empty prev with a duplicated covering row; prev covers one exact point
@@ -119,35 +127,49 @@ def test_success_charge_is_the_first_covering_prefix(case):
     pool = np.vstack([prev, batch])
     expected = _brute_force_charge(prev, batch, exact, epsilon)
     params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=epsilon)
-    assert _success_charge(pool, prev.shape[0], exact, params) == expected
+    pareto = _toy_pareto(exact)
+    assert _witness_charge(pool, prev.shape[0], pareto, params, 0)[0] == expected
 
 
 def test_witness_moves_to_an_uncovered_point(monkeypatch):
     full_checks = []
 
     def counted(candidates, points, epsilon):
-        # the precheck passes the witness row alone, a full check the exact set
         full_checks.append(points is exact)
-        return _first_uncovered(candidates, points, epsilon)
+        return _coverage(candidates, points, epsilon)
 
-    monkeypatch.setattr(optimizers, "_first_uncovered", counted)
-    exact = ParetoSet(
-        instance_id="toy",
-        solutions=np.array([[0, 1], [1, 0]], dtype=np.uint8),
-        objectives=np.array([[1.0, 0.0], [0.0, 1.0]]),
-    )
+    # the precheck goes through epsilon_success, so only full passes land here
+    monkeypatch.setattr(optimizers, "_coverage", counted)
+    exact = _toy_pareto(np.array([[1.0, 0.0], [0.0, 1.0]]))
     params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=0.0)
     # the witness is uncovered: no success, and no full check
     assert _witness_charge(np.array([[0.5, 0.5]]), 0, exact, params, 0) == (None, 0)
-    assert full_checks == [False]
+    assert full_checks == []
     # the witness is covered but point 1 is not: the witness moves there
     assert _witness_charge(np.array([[1.0, 0.0]]), 0, exact, params, 0) == (None, 1)
     # the new witness is covered while point 0 is uncovered again
     assert _witness_charge(np.array([[0.0, 1.0]]), 0, exact, params, 1) == (None, 0)
-    assert sum(full_checks) == 2
+    assert full_checks == [True, True]
     pool = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     assert _witness_charge(pool, 1, exact, params, 0) == (2, 0)
-    assert sum(full_checks) == 3
+    assert full_checks == [True, True, True]
+
+
+def test_success_makes_one_full_pass(monkeypatch):
+    passes = []
+    covering_blocks = enumeration._covering_blocks
+
+    def counted(candidates, points, epsilon):
+        # a pass over the exact set gets the ParetoSet, the precheck one row
+        passes.append(points is exact)
+        return covering_blocks(candidates, points, epsilon)
+
+    monkeypatch.setattr(enumeration, "_covering_blocks", counted)
+    exact = _toy_pareto(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    params = _params(pop_size=1, pgm_size=1, t_max=1, epsilon=0.0)
+    pool = np.array([[0.0, 1.0], [0.5, 0.5], [0.2, 0.2], [1.0, 0.0], [1.0, 0.0]])
+    assert _witness_charge(pool, 1, exact, params, 2) == (3, 2)
+    assert passes == [False, True]
 
 
 # --- binary tournament ------------------------------------------------------------
@@ -214,7 +236,9 @@ def test_survivors_ranking_equals_a_fresh_sort(monkeypatch, m):
             ranked = nondominated_sort(objs)
             keep = survive(ranked, rng)
             assert len(np.unique(keep)) == pop_size
-            kept, fresh = _kept_ranking(ranked, keep), nondominated_sort(objs[keep])
+            # keep holds every row ranked below the worst kept rank
+            kept = _ranking(ranked.objectives[keep], ranked.rank[keep])
+            fresh = nondominated_sort(objs[keep])
             for field in ("objectives", "rank", "crowding"):
                 assert getattr(kept, field).dtype == getattr(fresh, field).dtype
                 assert np.array_equal(getattr(kept, field), getattr(fresh, field))

@@ -181,16 +181,24 @@ class RankedPopulation:
 
     ``rank`` is 1-based (front 1 is non-dominated); ``crowding`` follows the
     usual convention of +inf at each front's per-objective extremes, with
-    interior members summing normalized cuboid side lengths.
+    interior members summing normalized cuboid side lengths.  It is computed
+    per rank over the members in ascending row order, on first read.
     """
 
     objectives: np.ndarray
     rank: np.ndarray
-    crowding: np.ndarray
 
     @property
     def size(self) -> int:
         return self.objectives.shape[0]
+
+    @cached_property
+    def crowding(self) -> np.ndarray:
+        order = np.argsort(self.rank, kind="stable")
+        crowding = np.zeros(self.size, dtype=np.float64)
+        for members in np.split(order, np.flatnonzero(np.diff(self.rank[order])) + 1):
+            crowding[members] = _crowding_distances(self.objectives[members])
+        return crowding
 
 
 def _crowding_distances(front_objs: np.ndarray) -> np.ndarray:
@@ -210,42 +218,85 @@ def _crowding_distances(front_objs: np.ndarray) -> np.ndarray:
     return crowd
 
 
-def _ranking(objs: np.ndarray, rank: np.ndarray) -> RankedPopulation:
-    """``objs`` ranked by ``rank``, with crowding computed per front over
-    its members in ascending row order."""
-    order = np.argsort(rank, kind="stable")
-    crowding = np.zeros(objs.shape[0], dtype=np.float64)
-    for members in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
-        crowding[members] = _crowding_distances(objs[members])
-    return RankedPopulation(objectives=objs, rank=rank, crowding=crowding)
+_SORT_BLOCK = 128
 
 
-def nondominated_sort(objectives: np.ndarray) -> RankedPopulation:
-    """Fast non-dominated sorting with crowding distances.
+def _weakly_dominates(rows_t: np.ndarray, cols_t: np.ndarray) -> np.ndarray:
+    """Entry [i, j] is True iff row ``i`` is at least column ``j`` in every
+    objective; both arguments are (M, count) transposed objective blocks.
+    The result is the AND over objectives of one 2-D comparison between
+    contiguous objective columns, so no (rows, columns, M) temporary is
+    built."""
+    weak = rows_t[0, :, None] >= cols_t[0]
+    scratch = np.empty_like(weak)
+    for m in range(1, rows_t.shape[0]):
+        weak &= np.greater_equal(rows_t[m, :, None], cols_t[m], out=scratch)
+    return weak
 
-    Peels fronts by maintaining per-member dominator counts against the
-    full pairwise domination matrix.  The matrix comes from the coverage
-    check's kernel at epsilon 0, which is plain weak dominance: ``c``
-    strictly dominates ``i`` when it weakly dominates ``i`` and ``i`` does
-    not weakly dominate ``c``, so duplicate rows are mutually
-    non-dominating.
+
+def _first_front(objs_t: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Mask of the non-dominated columns of ``objs_t`` (M, n), whose columns
+    come in decreasing order of their objective ``sums``.
+
+    A strict dominator's float sum is at least that of the row it
+    dominates, and anything that dominates a row is dominated by, or is, a
+    front member.  So each block of columns is tested against the front
+    kept from earlier blocks, all of strictly larger sum, where weak
+    dominance is strict, and against itself for strict dominance.  A block
+    grows past ``_SORT_BLOCK`` columns until its last sum differs from the
+    next, so columns of equal sum always share a block.
+    """
+    n = objs_t.shape[1]
+    front = np.zeros(n, dtype=bool)
+    kept = np.empty_like(objs_t)
+    n_kept = start = 0
+    while start < n:
+        stop = min(start + _SORT_BLOCK, n)
+        while stop < n and sums[stop] == sums[stop - 1]:
+            stop += 1
+        block = objs_t[:, start:stop]
+        weak = _weakly_dominates(block, block)
+        alive = ~(weak & ~weak.T).any(axis=0)
+        if n_kept:
+            alive &= ~_weakly_dominates(kept[:, :n_kept], block).any(axis=0)
+        front[start:stop] = alive
+        count = int(np.count_nonzero(alive))
+        kept[:, n_kept : n_kept + count] = block[:, alive]
+        n_kept += count
+        start = stop
+    return front
+
+
+def nondominated_sort(objectives: np.ndarray, top: int | None = None) -> RankedPopulation:
+    """Pareto-front ranks of the rows, peeled front by front.
+
+    Rows are taken in decreasing order of objective sum and each front is
+    the non-dominated subset of the rows still unranked, so duplicate rows
+    are mutually non-dominating and share a front.  Peeling stops once at
+    least ``top`` rows are ranked (all rows by default); the rows left then
+    share the next rank.
     """
     objs = np.ascontiguousarray(objectives, dtype=np.float64)
     if objs.ndim != 2 or objs.shape[0] == 0:
         raise ValueError("population must be a non-empty 2-D objective matrix")
-    covered = np.vstack(list(_covering_blocks(objs, objs, 0.0)))
-    dom = covered.T & ~covered
-    counts = dom.sum(axis=0).astype(np.int64)
-    rank = np.zeros(objs.shape[0], dtype=np.int32)
+    n = objs.shape[0]
+    top = n if top is None else top
+    if top < 1:
+        raise ValueError(f"top must be positive, got {top}")
+    sums = objs.sum(axis=1)
+    order = np.argsort(-sums, kind="stable")
+    objs_t = np.ascontiguousarray(objs[order].T)
+    sums = sums[order]
+    left = np.arange(n)  # sorted positions not yet ranked
+    rank = np.zeros(n, dtype=np.int32)
     front_index = 1
-    while not rank.all():
-        members = np.flatnonzero((rank == 0) & (counts == 0))
-        if members.size == 0:
-            raise AssertionError("domination counts exhausted with members left")
-        rank[members] = front_index
-        counts -= dom[members].sum(axis=0)
+    while n - left.size < top and left.size:
+        front = _first_front(objs_t[:, left], sums[left])
+        rank[order[left[front]]] = front_index
+        left = left[~front]
         front_index += 1
-    return _ranking(objs, rank)
+    rank[order[left]] = front_index
+    return RankedPopulation(objectives=objs, rank=rank)
 
 
 def _covering_blocks(
@@ -254,12 +305,10 @@ def _covering_blocks(
     """Per block of exact points, the (block, candidates) coverage matrix.
 
     Entry [i, c] is True iff candidate ``c`` scaled by (1+epsilon) weakly
-    dominates exact point ``i``; at epsilon 0 this is plain weak dominance,
-    which ``nondominated_sort`` uses against the population itself.
+    dominates exact point ``i``.
     Validates the inputs first; yields nothing for an empty exact set.
-    Each block is the AND over objectives of one 2-D comparison between
-    contiguous objective columns, so no (block, candidates, M) temporary
-    is built.
+    Each block is the dominance kernel of the non-dominated sort on
+    negated objectives.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -279,16 +328,12 @@ def _covering_blocks(
             f"objective counts differ: candidates have {cand.shape[1]}, "
             f"exact set has {exact_objs.shape[1]}"
         )
-    scaled_t = np.ascontiguousarray(((1.0 + epsilon) * cand).T)
-    exact_t = np.ascontiguousarray(exact_objs.T)
+    # negation is exact, so p <= c exactly when -p >= -c
+    scaled_t = np.ascontiguousarray((-(1.0 + epsilon) * cand).T)
+    exact_t = np.ascontiguousarray(-exact_objs.T)
     step = max(1, (1 << 22) // max(1, cand.shape[0] * cand.shape[1]))
     for start in range(0, exact_t.shape[1], step):
-        stop = min(start + step, exact_t.shape[1])
-        covered = exact_t[0, start:stop, None] <= scaled_t[0]
-        scratch = np.empty_like(covered)
-        for m in range(1, exact_t.shape[0]):
-            covered &= np.less_equal(exact_t[m, start:stop, None], scaled_t[m], out=scratch)
-        yield covered
+        yield _weakly_dominates(exact_t[:, start : start + step], scaled_t)
 
 
 def _coverage(

@@ -284,10 +284,33 @@ def _instance_to_dict(instance: MNKInstance) -> dict:
     }
 
 
+def _json_text(value, pad: str = "") -> str:
+    """The text ``json.dumps(value, indent=1)`` writes for ``value``, nested
+    ``len(pad)`` levels deep, without the pure-Python encoder's per-item
+    work: each list of numbers is one ``join`` of their reprs, which is what
+    the encoder writes for Python ints and finite floats."""
+    inner = pad + " "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items())
+    elif isinstance(value, list):
+        brackets = "[]"
+        if value and isinstance(value[0], (int, float)):
+            items = map(repr, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+    else:
+        return json.dumps(value)
+    body = (",\n" + inner).join(items)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def save_instance(instance: MNKInstance, path: str | Path) -> None:
     """Write the instance as versioned JSON (lossless float round-trip)."""
     path = Path(path)
-    text = json.dumps(_instance_to_dict(instance), indent=1)
+    text = _json_text(_instance_to_dict(instance))
     path.write_text(text + "\n", encoding="utf-8")
 
 

@@ -43,7 +43,6 @@ from .enumeration import (
     ParetoSet,
     RankedPopulation,
     _coverage,
-    _ranking,
     epsilon_success,
     nondominated_sort,
     pareto_mask,
@@ -194,8 +193,10 @@ def _evolve(
     remaining budget), tests the population plus batch for success, and
     merges and truncates back to ``pop_size`` by ``survive``.  One random
     stream seeded by ``params.seed`` feeds the initial population, then
-    ``propose`` and ``survive`` in turn.  Each merged pool is sorted once,
-    and the survivors' ranking is sliced from it for the next proposal.
+    ``propose`` and ``survive`` in turn.  Each merged pool is ranked once,
+    only up to the front that reaches ``pop_size`` rows, which is all that
+    survival reads, and the survivors' ranks are sliced from it for the
+    next proposal.
     """
     if exact.instance_id != instance.id:
         raise ValueError(
@@ -216,12 +217,12 @@ def _evolve(
         evaluations += objs.shape[0] - prev
         assert evaluations == min(params.pop_size + generation * batch_size, params.t_max)
         if generation:
-            merged = nondominated_sort(objs)
+            merged = nondominated_sort(objs, top=params.pop_size)
             keep = survive(merged, rng)
             # keep holds every row ranked below the worst kept rank, so each
             # kept row keeps its dominators and its rank; only crowding changes
             bits, objs = bits[keep], objs[keep]
-            ranked = _ranking(objs, merged.rank[keep])
+            ranked = RankedPopulation(objs, merged.rank[keep])
             if on_generation is not None:
                 on_generation(generation, bits, objs)
         else:
@@ -356,9 +357,12 @@ def _associate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closest reference direction per member and the perpendicular distance."""
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    proj = normalized @ unit.T
-    sq = (normalized**2).sum(axis=1, keepdims=True) - proj**2
-    dist = np.sqrt(np.clip(sq, 0.0, None))
+    # projection, squared distance, then distance, in one (members, directions) buffer
+    dist = normalized @ unit.T
+    np.square(dist, out=dist)
+    np.subtract((normalized**2).sum(axis=1, keepdims=True), dist, out=dist)
+    np.clip(dist, 0.0, None, out=dist)
+    np.sqrt(dist, out=dist)
     assoc = np.argmin(dist, axis=1)
     return assoc, dist[np.arange(len(assoc)), assoc]
 

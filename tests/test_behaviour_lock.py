@@ -15,6 +15,8 @@ Locked:
   call, for both optimizers, on runs that succeed at generation 0, succeed
   inside a later batch, succeed exactly at a batch boundary, and are
   censored with a truncated last batch;
+* both optimizers at the default population sizes (100, 50 parents, 1,000
+  samples) at M=2, 5 and 8, where the EDA ranks pools of 1,100 rows;
 * NSGA-III alone at M=5 and M=8 with populations of 40 to 100, where the
   reference-direction survival keeps a generation of whole fronts, keeps
   whole fronts ahead of a niched split front, and picks from niches that
@@ -166,6 +168,26 @@ def test_nsga3_survival_locked(case):
     )
     instance = generate_instance(instance_seed, n, m, k)
     assert _runs_digest(instance, params, (nsga3_run,)) == expected
+
+
+# M -> digest of mboa_run and nsga3_run on generate_instance(11, 12, M, 3) at
+# the default population sizes, censored at epsilon 0: the EDA's merged pools
+# of 1,100 rows span several 128-row blocks of the non-dominated sort
+DEFAULT_SIZE_CASES = {
+    2: "ec19e37097dd3812042edc3c8cc776539d622ed1084fcb8c828e989f23f21c5e",
+    5: "23392d1749531ce240a32a127cb6b08bc0a6983ae9ae2431b83fc4cc009134db",
+    8: "64ea0c7bf28d477d1829442cffd711ec97cf8ef2c6ee83744a04e54d05142c27",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DEFAULT_SIZE_CASES))
+def test_default_size_runs_locked(m):
+    params = RunParams(
+        pop_size=100, pgm_size=50, sample_size=1000, t_max=4000, epsilon=0.0, seed=1
+    )
+    instance = generate_instance(11, 12, m, 3)
+    digest = _runs_digest(instance, params, (mboa_run, nsga3_run))
+    assert digest == DEFAULT_SIZE_CASES[m]
 
 
 CAMPAIGN_DIGEST = (

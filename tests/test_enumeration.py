@@ -177,6 +177,46 @@ def test_front_assignment_matches_peeling_oracle(m, decimals):
     assert np.array_equal(ranked.rank, oracles.peel_fronts(objs))
 
 
+@pytest.mark.parametrize("decimals", [None, 1], ids=["float", "one-decimal"])
+@pytest.mark.parametrize("n", [1, 2, 127, 129, 300, 1100])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_ranks_up_to_the_split_front_match_peeling_oracle(m, n, decimals):
+    objs = np.random.default_rng([m, n]).random((n, m))
+    if decimals is not None:
+        # duplicate rows and tied sums
+        objs = np.round(objs, decimals)
+    expected = oracles.peel_fronts(objs)
+    for top in sorted({1, max(1, n // 2), n}):
+        ranked = nondominated_sort(objs, top=top)
+        # the first front whose cumulative size reaches top, then one rank
+        # shared by every row past it
+        sizes = np.cumsum(np.bincount(expected)[1:])
+        split = int(np.searchsorted(sizes, top)) + 1
+        assert np.array_equal(ranked.rank, np.minimum(expected, split + 1))
+        assert np.count_nonzero(ranked.rank <= split) >= top
+
+
+def test_equal_float_sums_share_a_block():
+    # 1e16 + 1.0 rounds to 1e16, so the dominating row has the same float
+    # sum as the row it dominates; the stable sum order puts the dominated
+    # row last in the first 128 and its dominator first past them
+    fillers = np.column_stack([-1.0 - np.arange(127), np.full(127, 3e16)])
+    dominated, dominator = [1e16, 0.0], [1e16, 1.0]
+    objs = np.vstack([fillers, [dominated, dominator]])
+    assert objs[-1].sum() == objs[-2].sum()
+    ranked = nondominated_sort(objs)
+    assert ranked.rank[-1] == 1 and ranked.rank[-2] == 2
+    assert np.array_equal(ranked.rank, oracles.peel_fronts(objs))
+    # duplicates across row 128 of the sum order are mutually non-dominating
+    objs = np.vstack([fillers, [[1e16, 0.5], [1e16, 0.5]]])
+    assert nondominated_sort(objs).rank[-2:].tolist() == [1, 1]
+
+
+def test_sort_rejects_a_top_below_one():
+    with pytest.raises(ValueError, match="top"):
+        nondominated_sort(np.zeros((3, 2)), top=0)
+
+
 def test_front_one_equals_pairwise_subset():
     rng = np.random.default_rng(17)
     for _ in range(10):

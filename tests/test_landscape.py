@@ -146,6 +146,36 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
         assert a.tables.tobytes() == b.tables.tobytes()
 
 
+@pytest.mark.parametrize(
+    "args, instance_id",
+    [
+        ((3, 7, 2, 0), None),  # empty neighbour lists
+        ((4, 6, 3, 5), None),  # K = N - 1
+        ((5, 9, 1, 3), None),
+        ((6, 8, 8, 2), None),
+        ((7, 5, 2, 1), "insté-λ-€"),
+    ],
+    ids=["k0", "k-n-1", "m1", "m8", "non-ascii-id"],
+)
+def test_saved_text_equals_the_json_encoder(tmp_path, args, instance_id):
+    inst = generate_instance(*args, instance_id=instance_id)
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    doc = {
+        "format_version": 1,
+        "id": inst.id,
+        "seed": inst.seed,
+        "n": inst.n_vars,
+        "m": inst.m_objectives,
+        "k": inst.k,
+        "components": [
+            {"neighbors": comp.neighbors.tolist(), "tables": comp.tables.tolist()}
+            for comp in inst.components
+        ],
+    }
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
 def test_saved_file_has_format_version(tmp_path):
     inst = generate_instance(7, 6, 2, 1)
     path = tmp_path / "instance.json"

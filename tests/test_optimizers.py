@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mnkbench import enumeration, optimizers
 from mnkbench.enumeration import (
     ParetoSet,
+    RankedPopulation,
     _coverage,
-    _ranking,
     enumerate_pareto,
     epsilon_success,
     nondominated_sort,
@@ -18,6 +18,7 @@ from mnkbench.enumeration import (
 from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import (
     RunParams,
+    _associate,
     _normalize,
     _witness_charge,
     binary_tournament,
@@ -233,11 +234,16 @@ def test_survivors_ranking_equals_a_fresh_sort(monkeypatch, m):
         # rounding forces tied coordinates and duplicate rows
         objs = np.round(rng.random((pop_size + int(rng.integers(1, 60)), m)), 1)
         for survive in _survival_rules(monkeypatch, m, pop_size):
-            ranked = nondominated_sort(objs)
-            keep = survive(ranked, rng)
+            # survival reads nothing past the split front, so ranking the
+            # pool only that far keeps the same rows
+            state = rng.bit_generator.state
+            keep = survive(nondominated_sort(objs), rng)
+            rng.bit_generator.state = state
+            ranked = nondominated_sort(objs, top=pop_size)
+            assert np.array_equal(survive(ranked, rng), keep)
             assert len(np.unique(keep)) == pop_size
             # keep holds every row ranked below the worst kept rank
-            kept = _ranking(ranked.objectives[keep], ranked.rank[keep])
+            kept = RankedPopulation(ranked.objectives[keep], ranked.rank[keep])
             fresh = nondominated_sort(objs[keep])
             for field in ("objectives", "rank", "crowding"):
                 assert getattr(kept, field).dtype == getattr(fresh, field).dtype
@@ -449,6 +455,33 @@ def test_normalize_falls_back_without_warning_on_zero_beta():
         warnings.simplefilter("error")
         normalized = _normalize(block)
     assert np.array_equal(normalized, block / 2.0)
+
+
+def _associate_reference(normalized, directions):
+    """The three-temporary expression ``_associate`` replaced, and the
+    squared distances it clipped."""
+    unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    proj = normalized @ unit.T
+    sq = (normalized**2).sum(axis=1, keepdims=True) - proj**2
+    dist = np.sqrt(np.clip(sq, 0.0, None))
+    assoc = np.argmin(dist, axis=1)
+    return assoc, dist[np.arange(len(assoc)), assoc], sq
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_associate_equals_the_three_temporary_expression(m):
+    rng = np.random.default_rng(m)
+    directions = reference_directions(m, 100)
+    picks = rng.integers(0, len(directions), 200)
+    # members lying exactly on a direction, where rounding can make the
+    # squared distance negative and the clip act
+    on_direction = directions[picks] * (3.0 * rng.random((200, 1)))
+    for normalized in [rng.random((size, m)) for size in (1, 17, 150)] + [on_direction]:
+        assoc, dist, sq = _associate_reference(normalized, directions)
+        got_assoc, got_dist = _associate(normalized, directions)
+        assert np.array_equal(got_assoc, assoc)
+        assert got_dist.dtype == dist.dtype and got_dist.tobytes() == dist.tobytes()
+    assert (sq < 0).any()
 
 
 # --- reference directions ------------------------------------------------------------

@@ -25,7 +25,6 @@ from .bayesnet import (
     BNStructure,
     CPTs,
     fit_parameters,
-    joint_pmf,
     k2_learn,
     log_joint_pmf,
     sample,
@@ -34,7 +33,6 @@ from .enumeration import (
     EnumerationCapError,
     ParetoSet,
     RankedPopulation,
-    dominates,
     enumerate_pareto,
     epsilon_success,
     nondominated_sort,
@@ -53,7 +51,6 @@ from .landscape import (
     MalformedInstanceError,
     MNKInstance,
     NKComponent,
-    evaluate,
     evaluate_batch,
     generate_instance,
     load_instance,

@@ -34,8 +34,6 @@ __all__ = [
     "CPTs",
     "fit_parameters",
     "k2_learn",
-    "k2_score",
-    "joint_pmf",
     "log_joint_pmf",
     "sample",
     "save_network_json",
@@ -158,13 +156,6 @@ def fit_parameters(structure: BNStructure, data: np.ndarray) -> CPTs:
     return CPTs(tables=tuple(tables))
 
 
-def k2_score(data: np.ndarray, var: int, parents: tuple[int, ...]) -> float:
-    """Log marginal likelihood of one variable's local structure: the
-    Cooper-Herskovitz score with uniform Dirichlet priors that ``k2_learn`` climbs."""
-    lgamma = gammaln(np.arange(data.shape[0] + _STATES + 1))
-    return float(_k2_scores(_counts(data, var, [tuple(sorted(parents))]), lgamma)[0])
-
-
 def k2_learn(
     data: np.ndarray, ordering: np.ndarray, max_parents: int
 ) -> BNStructure:
@@ -226,14 +217,6 @@ def log_joint_pmf(structure: BNStructure, cpts: CPTs, data: np.ndarray) -> np.nd
         j = _parent_index(data, structure.parents[v])
         acc += np.log(table[j, data[:, v]])
     return acc
-
-
-def joint_pmf(structure: BNStructure, cpts: CPTs, solution: np.ndarray) -> float:
-    """Probability of one assignment under the factorized model."""
-    solution = np.asarray(solution, dtype=np.uint8)
-    if solution.ndim != 1:
-        raise ValueError("solution must be a 1-D bit vector")
-    return float(np.exp(log_joint_pmf(structure, cpts, solution[np.newaxis, :])[0]))
 
 
 def sample(

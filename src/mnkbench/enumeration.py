@@ -25,7 +25,6 @@ __all__ = [
     "ParetoSet",
     "RankedPopulation",
     "EnumerationCapError",
-    "dominates",
     "pareto_mask",
     "enumerate_pareto",
     "nondominated_sort",
@@ -43,48 +42,6 @@ _FORMAT_VERSION = 1
 
 class EnumerationCapError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff ``a`` Pareto-dominates ``b`` under maximization."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a >= b) and np.any(a > b))
-
-
-def pareto_mask(objectives: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of an objective matrix.
-
-    Rows equal to a non-dominated row are kept (duplicates are mutually
-    non-dominating).  Scans candidates in decreasing objective-sum order so
-    strong points prune the bulk early.  Each step keeps the points that
-    beat the candidate in some objective or equal it in all, built as an
-    OR (and an AND) over one comparison per contiguous objective column.
-    """
-    objs = np.asarray(objectives, dtype=np.float64)
-    n = objs.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(-objs.sum(axis=1), kind="stable")
-    cols = np.ascontiguousarray(objs[order].T)
-    alive = np.arange(n)
-    i = 0
-    while i < cols.shape[1]:
-        cand = cols[:, i]
-        better = cols[0] > cand[0]
-        equal = cols[0] == cand[0]
-        for m in range(1, cols.shape[0]):
-            better |= cols[m] > cand[m]
-            equal &= cols[m] == cand[m]
-        keep = better | equal
-        cols = np.compress(keep, cols, axis=1)
-        alive = alive[keep]
-        i = int(np.count_nonzero(keep[:i])) + 1
-    mask = np.zeros(n, dtype=bool)
-    mask[order[alive]] = True
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +191,15 @@ def _weakly_dominates(rows_t: np.ndarray, cols_t: np.ndarray) -> np.ndarray:
     return weak
 
 
+def _sum_order(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``objs`` in decreasing objective-sum order, ties in row
+    order: the row indices, the transposed (M, n) objective block and the
+    sums, all in that order."""
+    sums = objs.sum(axis=1)
+    order = np.argsort(-sums, kind="stable")
+    return order, np.ascontiguousarray(objs[order].T), sums[order]
+
+
 def _first_front(objs_t: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Mask of the non-dominated columns of ``objs_t`` (M, n), whose columns
     come in decreasing order of their objective ``sums``.
@@ -283,10 +249,7 @@ def nondominated_sort(objectives: np.ndarray, top: int | None = None) -> RankedP
     top = n if top is None else top
     if top < 1:
         raise ValueError(f"top must be positive, got {top}")
-    sums = objs.sum(axis=1)
-    order = np.argsort(-sums, kind="stable")
-    objs_t = np.ascontiguousarray(objs[order].T)
-    sums = sums[order]
+    order, objs_t, sums = _sum_order(objs)
     left = np.arange(n)  # sorted positions not yet ranked
     rank = np.zeros(n, dtype=np.int32)
     front_index = 1
@@ -297,6 +260,53 @@ def nondominated_sort(objectives: np.ndarray, top: int | None = None) -> RankedP
         front_index += 1
     rank[order[left]] = front_index
     return RankedPopulation(objectives=objs, rank=rank)
+
+
+# head sizes of the two screens pareto_mask runs before its block peel
+_SCREEN_SIZES = (8, 64)
+
+
+def _strictly_dominated(head_t: np.ndarray, cols_t: np.ndarray) -> np.ndarray:
+    """Mask of the columns of ``cols_t`` that some column of ``head_t``
+    strictly dominates: weakly, and not equal in every objective.  Both
+    parts are (head, columns) matrices, so no transposed copy is built."""
+    weak = _weakly_dominates(head_t, cols_t)
+    equal = head_t[0, :, None] == cols_t[0]
+    scratch = np.empty_like(equal)
+    for m in range(1, head_t.shape[0]):
+        equal &= np.equal(head_t[m, :, None], cols_t[m], out=scratch)
+    return (weak & ~equal).any(axis=0)
+
+
+def pareto_mask(objectives: np.ndarray) -> np.ndarray:
+    """Boolean mask of the non-dominated rows of an objective matrix.
+
+    Rows equal to a non-dominated row are kept (duplicates are mutually
+    non-dominating).  Two screens first drop every row strictly dominated
+    by one of the 8 rows of largest objective sum, then by one of the 64
+    rows of largest sum among those left; a partial sort picks these
+    heads, since strong rows prune the bulk.  The rows left are put in
+    decreasing objective-sum order, the order ``nondominated_sort`` peels
+    in, and the block peel ``_first_front`` gives their non-dominated
+    subset.  The screens are exact: a strictly dominated row is never on
+    the front, and a front row, or a duplicate of one, is strictly
+    dominated by nothing, so the screens keep the whole front, and every
+    row they keep off it is dominated by a front row the peel sees.
+    """
+    objs = np.asarray(objectives, dtype=np.float64)
+    mask = np.zeros(objs.shape[0], dtype=bool)
+    if not mask.size:
+        return mask
+    rows = np.arange(mask.size)
+    objs_t = np.ascontiguousarray(objs.T)
+    for size in _SCREEN_SIZES:
+        head = min(size, rows.size)
+        top = np.argpartition(-objs_t.sum(axis=0), head - 1)[:head]
+        keep = ~_strictly_dominated(objs_t[:, top], objs_t)
+        rows, objs_t = rows[keep], objs_t[:, keep]
+    order, objs_t, sums = _sum_order(objs[rows])
+    mask[rows[order[_first_front(objs_t, sums)]]] = True
+    return mask
 
 
 def _covering_blocks(

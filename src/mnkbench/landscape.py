@@ -37,7 +37,6 @@ __all__ = [
     "MNKInstance",
     "MalformedInstanceError",
     "generate_instance",
-    "evaluate",
     "evaluate_batch",
     "save_instance",
     "load_instance",
@@ -254,16 +253,6 @@ def evaluate_batch(instance: MNKInstance, solutions: np.ndarray) -> np.ndarray:
         for m, comp in enumerate(instance.components):
             out[start : start + len(block), m] = comp.contributions(block).mean(axis=1)
     return out
-
-
-def evaluate(instance: MNKInstance, solution: np.ndarray) -> np.ndarray:
-    """Objective vector of one solution (length-M float array)."""
-    solution = np.asarray(solution)
-    if solution.ndim != 1 or solution.shape[0] != instance.n_vars:
-        raise ValueError(
-            f"solution length {solution.shape} does not match N={instance.n_vars}"
-        )
-    return evaluate_batch(instance, solution[np.newaxis, :])[0]
 
 
 def _instance_to_dict(instance: MNKInstance) -> dict:

@@ -268,7 +268,13 @@ def mboa_run(
         return bn_sample(structure, cpts, batch, rng), (structure, cpts)
 
     def survive(ranked: RankedPopulation, rng: np.random.Generator):
-        return np.lexsort((-ranked.crowding, ranked.rank))[: params.pop_size]
+        # only rows ranked at or below the split rank can survive; crowding
+        # is per rank over ascending rows, so theirs is unchanged without
+        # the rows past it
+        split = np.partition(ranked.rank, params.pop_size - 1)[params.pop_size - 1]
+        rows = np.flatnonzero(ranked.rank <= split)
+        head = RankedPopulation(ranked.objectives[rows], ranked.rank[rows])
+        return rows[np.lexsort((-head.crowding, head.rank))[: params.pop_size]]
 
     return _evolve(
         instance, exact, params, params.sample_size, propose, survive, on_generation

@@ -12,9 +12,7 @@ from mnkbench.bayesnet import (
     _counts,
     _k2_scores,
     fit_parameters,
-    joint_pmf,
     k2_learn,
-    k2_score,
     load_network_json,
     log_joint_pmf,
     sample,
@@ -143,7 +141,7 @@ def test_k2_score_agrees_with_exact_rational():
     data = rng.integers(0, 2, size=(40, 3), dtype=np.uint8)
     for parents in [(), (0,), (1,), (0, 1)]:
         expected = oracles.k2_score_exact(data, 2, parents)
-        got = k2_score(data, 2, parents)
+        got = _k2_scores(_counts(data, 2, [parents]), gammaln(np.arange(43)))[0]
         assert got == pytest.approx(float(np.log(float(expected))), rel=1e-12)
 
 
@@ -164,7 +162,8 @@ def test_batched_step_scores_match_k2_score_and_exact(rows, q):
     scores = _k2_scores(_counts(data, 7, tuples), lgamma)
     assert scores.shape == (len(tuples),)
     for parents, score in zip(tuples, scores):
-        assert score == k2_score(data, 7, parents)
+        # scored alone, each tuple gets the same float as in the batch
+        assert score == _k2_scores(_counts(data, 7, [parents]), lgamma)[0]
         exact = oracles.k2_score_exact(data, 7, parents)
         expected = math.log(exact.numerator) - math.log(exact.denominator)
         assert score == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -176,7 +175,8 @@ def test_k2_tie_takes_the_lower_index():
     rng = np.random.default_rng(5)
     data = rng.integers(0, 2, size=(100, 4), dtype=np.uint8)
     data[:, 3] = data[:, 2] = data[:, 0]
-    assert k2_score(data, 2, (0,)) == k2_score(data, 2, (3,))
+    scores = _k2_scores(_counts(data, 2, [(0,), (3,)]), gammaln(np.arange(103)))
+    assert scores[0] == scores[1]
     structure = k2_learn(data, np.array([3, 1, 0, 2]), 3)
     assert structure.parents[2] == (0,)
     assert structure.parents[0] == (3,)
@@ -221,9 +221,13 @@ def test_pmf_normalizes_over_full_space():
 def test_chain_pmf_matches_hand_product():
     structure, cpts = _chain3(theta1=0.7, given1=0.9, given0=0.2)
     x = np.array([1, 1, 0], dtype=np.uint8)
-    assert joint_pmf(structure, cpts, x) == pytest.approx(0.7 * 0.9 * 0.1, rel=1e-12)
+    assert np.exp(log_joint_pmf(structure, cpts, x[None]))[0] == pytest.approx(
+        0.7 * 0.9 * 0.1, rel=1e-12
+    )
     y = np.array([0, 1, 1], dtype=np.uint8)
-    assert joint_pmf(structure, cpts, y) == pytest.approx(0.3 * 0.2 * 0.9, rel=1e-12)
+    assert np.exp(log_joint_pmf(structure, cpts, y[None]))[0] == pytest.approx(
+        0.3 * 0.2 * 0.9, rel=1e-12
+    )
 
 
 # --- sampling -----------------------------------------------------------------------

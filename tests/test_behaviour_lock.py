@@ -36,7 +36,9 @@ Locked:
   K=N-1, M=1 and M=8;
 * the offline stage at N=18, where enumeration runs several chunks: the
   ``enumerate_pareto`` bytes and (avgd, maxd, nconnec, lconnec, kconnec)
-  of three fronts of 129 to 1,475 points.
+  of three fronts of 129 to 1,475 points;
+* ``enumerate_pareto`` at N=17, M=8, K=10, whose two chunks reduce to a
+  front of 12,344 points.
 """
 
 from __future__ import annotations
@@ -326,3 +328,15 @@ def test_offline_stage_locked(m, k):
     nconnec, lconnec, kconnec = connectivity(pareto)
     digest.update(repr((avgd.hex(), maxd.hex(), nconnec, lconnec.hex(), kconnec)).encode())
     assert digest.hexdigest() == OFFLINE_CASES[(m, k)]
+
+
+def test_m8_enumeration_locked():
+    # two 65,536-row chunks and a 12,344-point front: the Pareto filter on
+    # rows past the screen sizes and across many sort blocks
+    pareto = enumerate_pareto(generate_instance(7, 17, 8, 10))
+    digest = hashlib.sha256()
+    digest.update(pareto.instance_id.encode())
+    _feed_array(digest, pareto.solutions)
+    _feed_array(digest, pareto.objectives)
+    assert pareto.size == 12344
+    assert digest.hexdigest() == "f6b47a80baadf59daa9f148c2407cf2866a0fa5a60a8d71a116237f1cacb9966"

@@ -456,7 +456,7 @@ def test_features_independent_of_jobs(tmp_path):
     assert trees[0] == trees[1]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: no config fingerprint")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: no config fingerprint")
 def test_features_follow_a_regenerated_campaign(tmp_path):
     # gen at another master seed rewrites the instances under the same ids,
     # so every feature row must come from the new instance's own Pareto set

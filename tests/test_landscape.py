@@ -8,7 +8,6 @@ from mnkbench.landscape import (
     MNKInstance,
     NKComponent,
     bits_to_string,
-    evaluate,
     evaluate_batch,
     generate_instance,
     load_instance,
@@ -66,7 +65,8 @@ def test_constant_tables_give_constant_objectives():
     )
     inst = MNKInstance(id="const", seed=0, components=comps)
     for bits in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
-        assert evaluate(inst, np.array(bits, dtype=np.uint8)) == pytest.approx([0.5, 0.5])
+        x = np.array(bits, dtype=np.uint8)
+        assert evaluate_batch(inst, x[None])[0] == pytest.approx([0.5, 0.5])
 
 
 def test_hand_built_two_variable_lookup():
@@ -81,7 +81,7 @@ def test_hand_built_two_variable_lookup():
         tables=np.vstack([t0, t1]),
     )
     inst = MNKInstance(id="hand", seed=0, components=(comp,))
-    value = evaluate(inst, np.array([0, 1], dtype=np.uint8))
+    value = evaluate_batch(inst, np.array([[0, 1]], dtype=np.uint8))[0]
     assert value[0] == pytest.approx((0.20 + 0.70) / 2, abs=0)
 
 
@@ -101,8 +101,8 @@ def test_k0_bit_flip_changes_objective_by_table_delta():
         j = int(rng.integers(10))
         y = x.copy()
         y[j] ^= 1
-        before = evaluate(inst, x)
-        after = evaluate(inst, y)
+        before = evaluate_batch(inst, x[None])[0]
+        after = evaluate_batch(inst, y[None])[0]
         for m, comp in enumerate(inst.components):
             delta = (comp.tables[j, y[j]] - comp.tables[j, x[j]]) / 10
             assert after[m] - before[m] == pytest.approx(delta, abs=1e-12)
@@ -111,7 +111,9 @@ def test_k0_bit_flip_changes_objective_by_table_delta():
 def test_evaluate_rejects_wrong_length():
     inst = generate_instance(7, 10, 2, 2)
     with pytest.raises(ValueError):
-        evaluate(inst, np.zeros(9, dtype=np.uint8))
+        evaluate_batch(inst, np.zeros((1, 9), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        evaluate_batch(inst, np.zeros(10, dtype=np.uint8))
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ __all__ = [
     "backward_eliminate",
     "pareto_pmf_view",
     "regression_report",
+    "CENSORED_MODES",
     "FEATURE_ORDER",
     "LOG_FEATURES",
     "feature_label",
@@ -51,6 +52,7 @@ logger = logging.getLogger(__name__)
 
 FEATURE_ORDER = tuple(field.name for field in fields(FeatureVector))
 LOG_FEATURES = frozenset({"m", "k", "npo", "nconnec", "lconnec"})
+CENSORED_MODES = ("exclude", "impute_tmax")
 
 
 def feature_label(name: str) -> str:
@@ -373,7 +375,7 @@ def regression_report(
     default) or "impute_tmax" (stand in t_max for their undefined ert).
     Requires at least 3 usable instances per algorithm.
     """
-    if censored_mode not in ("exclude", "impute_tmax"):
+    if censored_mode not in CENSORED_MODES:
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
     by_algorithm: dict[str, list[ErtRecord]] = {}
     for record in ert_records:

@@ -13,9 +13,11 @@ seed.  Exit code 0 on success, 1 with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import experiment
+from .analysis import CENSORED_MODES
 from .experiment import ExperimentConfig
 
 
@@ -40,19 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("algorithm", choices=experiment.ALGORITHMS)
     sub.add_parser("ert", help="write reports/ert.csv")
     regress = sub.add_parser("regress", help="write reports/regression.json")
-    regress.add_argument(
-        "--censored-mode",
-        choices=("exclude", "impute_tmax"),
-        default="exclude",
-        help="how zero-success instances enter the regression",
-    )
     sub.add_parser("pmf-view", help="write reports/pmf_view/*.csv")
     report = sub.add_parser("report", help="write all analysis outputs")
-    report.add_argument(
-        "--censored-mode",
-        choices=("exclude", "impute_tmax"),
-        default="exclude",
-    )
+    for command in (regress, report):
+        command.add_argument(
+            "--censored-mode",
+            choices=CENSORED_MODES,
+            default="exclude",
+            help="how zero-success instances enter the regression",
+        )
     sub.add_parser("all", help="full pipeline: gen, enumerate, run both, report")
     return parser
 
@@ -63,9 +61,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     if args.seed is not None:
-        doc = config.to_dict()
-        doc["master_seed"] = args.seed
-        config = ExperimentConfig(**doc)
+        config = dataclasses.replace(config, master_seed=args.seed)
     return config
 
 

@@ -39,6 +39,7 @@ from .enumeration import (
 from .features import FEATURE_COLUMNS, FeatureVector, extract_features
 from .landscape import _read_json_object, generate_instance, load_instance, save_instance
 from .optimizers import REFERENCE_DIVISIONS, RunParams, mboa_run, nsga3_run
+from .optimizers import _require_integer
 from .seeds import derive_seed
 
 __all__ = [
@@ -65,7 +66,7 @@ class ExperimentConfig:
 
     ``t_max`` defaults to floor(2^n_vars / 10) when left unset.  Every
     field is checked on construction, so a bad config fails before any
-    file is written.
+    file is written; the run fields are checked as ``RunParams``.
     """
 
     master_seed: int = 0
@@ -85,11 +86,14 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "m_values", tuple(self.m_values))
-        seed = self.master_seed  # a str or bool seed would derive other streams
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"master_seed must be a non-negative int, got {seed!r}")
+        # a str or bool seed would derive other streams, a float count fail mid-run
+        for name in ("master_seed", "n_vars", "landscapes_per_cell", "runs_per_instance"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        for name in ("k_values", "m_values"):
+            values = tuple(_require_integer(name, value) for value in getattr(self, name))
+            object.__setattr__(self, name, values)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
         if not 1 <= self.n_vars <= ENUMERATION_CAP:
             raise ValueError(f"n_vars must lie in [1, {ENUMERATION_CAP}]")
         if self.landscapes_per_cell < 1:
@@ -100,9 +104,6 @@ class ExperimentConfig:
             raise ValueError("every K must satisfy 0 <= K < n_vars")
         if any(m < 1 for m in self.m_values):
             raise ValueError("every M must be positive")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
         self.run_params(0)  # the run parameters' own checks
 
     @property
@@ -134,6 +135,8 @@ class ExperimentConfig:
             epsilon=self.epsilon,
             seed=seed,
             max_parents=self.max_parents,
+            crossover_prob=self.crossover_prob,
+            mutation_prob=self.mutation_prob,
         )
 
 
@@ -236,14 +239,12 @@ def _require_instances(config: ExperimentConfig, ids: list[str]) -> None:
         raise FileNotFoundError(f"instances missing (run 'gen' first): {listed}")
 
 
-def _enumerate_one(config_doc: dict, instance_id: str) -> str:
-    config = ExperimentConfig(**config_doc)
+def _enumerate_one(config: ExperimentConfig, instance_id: str) -> None:
     instance = load_instance(_instance_path(config, instance_id))
     pareto = enumerate_pareto(instance)
     json_path = _pareto_path(config, instance_id)
     _atomic(json_path, lambda tmp: save_pareto_json(pareto, tmp))
     _atomic(json_path.with_suffix(".csv"), lambda tmp: save_pareto_csv(pareto, tmp))
-    return instance_id
 
 
 def cmd_enumerate(config: ExperimentConfig, jobs: int = 1) -> list[str]:
@@ -251,27 +252,20 @@ def cmd_enumerate(config: ExperimentConfig, jobs: int = 1) -> list[str]:
     ids = instance_ids(config)
     pending = [iid for iid in ids if not _pareto_path(config, iid).exists()]
     _require_instances(config, pending)
-    _map_tasks(_enumerate_one, [(config.to_dict(), iid) for iid in pending], jobs)
+    _map_tasks(_enumerate_one, [(config, iid) for iid in pending], jobs)
     return pending
 
 
 # ---------------------------------------------------------------------------
 # optimizer campaigns
 
-def _run_one(config_doc: dict, algorithm: str, instance_id: str, run_index: int) -> str:
-    config = ExperimentConfig(**config_doc)
+def _run_one(config: ExperimentConfig, algorithm: str, instance_id: str, run_index: int) -> None:
     instance = load_instance(_instance_path(config, instance_id))
     pareto = load_pareto_json(_pareto_path(config, instance_id))
     seed = derive_seed(config.master_seed, instance_id, algorithm, run_index)
-    params = config.run_params(seed)
-    if algorithm == "mboa":
-        result = mboa_run(instance, pareto, params)
-    elif algorithm == "nsga3":
-        result = nsga3_run(
-            instance, pareto, params, pc=config.crossover_prob, pm=config.mutation_prob
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    # the names resolve at call time, so a tracer that rebinds them sees the run
+    run = {"mboa": mboa_run, "nsga3": nsga3_run}[algorithm]
+    result = run(instance, pareto, config.run_params(seed))
     record = {
         "instance_id": instance_id,
         "algorithm": algorithm,
@@ -288,7 +282,6 @@ def _run_one(config_doc: dict, algorithm: str, instance_id: str, run_index: int)
         model_path = path.with_suffix(".model.json")
         _atomic(model_path, lambda tmp: save_network_json(structure, cpts, tmp))
     _atomic_json(path, record)
-    return f"{algorithm}/{instance_id}/{run_index}"
 
 
 def _map_tasks(fn, tasks: list[tuple], jobs: int) -> None:
@@ -312,7 +305,7 @@ def cmd_run(config: ExperimentConfig, algorithm: str, jobs: int = 1) -> int:
     _require_instances(config, ids)
     cmd_enumerate(config, jobs=jobs)
     tasks = [
-        (config.to_dict(), algorithm, iid, run)
+        (config, algorithm, iid, run)
         for iid in ids
         for run in range(config.runs_per_instance)
         if not _run_path(config, algorithm, iid, run).exists()
@@ -349,13 +342,11 @@ def _float_repr(value) -> str:
     return repr(float(value))
 
 
-def _features_one(config_doc: dict, instance_id: str) -> str:
-    config = ExperimentConfig(**config_doc)
+def _features_one(config: ExperimentConfig, instance_id: str) -> None:
     instance = load_instance(_instance_path(config, instance_id))
     pareto = load_pareto_json(_pareto_path(config, instance_id))
     features = extract_features(instance, pareto)
     _atomic_json(_features_path(config, instance_id), asdict(features))
-    return instance_id
 
 
 def _load_features(config: ExperimentConfig, jobs: int = 1) -> dict[str, FeatureVector]:
@@ -363,7 +354,7 @@ def _load_features(config: ExperimentConfig, jobs: int = 1) -> dict[str, Feature
     cmd_enumerate(config, jobs=jobs)
     ids = sorted(instance_ids(config))
     pending = [iid for iid in ids if not _features_path(config, iid).exists()]
-    _map_tasks(_features_one, [(config.to_dict(), iid) for iid in pending], jobs)
+    _map_tasks(_features_one, [(config, iid) for iid in pending], jobs)
     return {iid: _read_features(_features_path(config, iid)) for iid in ids}
 
 

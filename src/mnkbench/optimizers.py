@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -73,9 +74,17 @@ REFERENCE_DIVISIONS: dict[int, tuple[int, ...]] = {
 GenerationHook = Callable[[int, np.ndarray, np.ndarray], None]
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; raises unless it is an integer (a bool or 20.0 is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunParams:
-    """Shared run parameters for both optimizers.
+    """The one record of what shapes a run of either optimizer;
+    ``crossover_prob`` and ``mutation_prob`` are NSGA-III's, unread by the EDA.
 
     A successful run is charged up to the exact first evaluation at which
     the pool became a (1+epsilon)-approximation (the full coverage pass that
@@ -91,8 +100,12 @@ class RunParams:
     epsilon: float
     seed: int
     max_parents: int = 3
+    crossover_prob: float = 0.8
+    mutation_prob: float = 1.0 / 500.0
 
     def __post_init__(self) -> None:
+        for name in ("pop_size", "pgm_size", "sample_size", "t_max", "max_parents"):
+            _require_integer(name, getattr(self, name))
         if self.pop_size < 1:
             raise ValueError("pop_size must be positive")
         if not 1 <= self.pgm_size <= self.pop_size:
@@ -105,6 +118,9 @@ class RunParams:
             raise ValueError("epsilon must be non-negative")
         if self.max_parents < 0:
             raise ValueError("max_parents must be non-negative")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,25 +440,29 @@ def nsga3_run(
     instance: MNKInstance,
     exact: ParetoSet,
     params: RunParams,
-    pc: float = 0.8,
-    pm: float = 1.0 / 500.0,
+    pc: float | None = None,
+    pm: float | None = None,
     on_generation: GenerationHook | None = None,
 ) -> RunResult:
     """Run the reference-direction genetic baseline; deterministic per seed.
 
     One generation evaluates ``pop_size`` offspring built by binary
-    tournament, uniform crossover (pair probability ``pc``, per-bit 0.5
-    exchange) and per-bit flip mutation with probability ``pm``, and keeps
+    tournament, uniform crossover (pair probability ``crossover_prob``,
+    per-bit 0.5 exchange) and per-bit flip mutation (``mutation_prob``), and keeps
     ``pop_size`` of old and new by whole fronts plus reference-direction
     niching.  ``on_generation`` is called as for ``mboa_run``.
+
+    ``pc`` and ``pm`` set nothing: a value given must equal the params' rate.
+    They go once ``campaign_bench/checks.py`` stops passing them.
     """
-    if not 0.0 <= pc <= 1.0 or not 0.0 <= pm <= 1.0:
-        raise ValueError("pc and pm must lie in [0, 1]")
+    if pc not in (None, params.crossover_prob) or pm not in (None, params.mutation_prob):
+        raise ValueError("pc and pm must equal the params' crossover_prob and mutation_prob")
     directions = reference_directions(instance.m_objectives, params.pop_size)
 
     def propose(bits, ranked: RankedPopulation, batch: int, rng: np.random.Generator):
         mating = bits[binary_tournament(ranked, params.pop_size, rng)]
-        return _variation(mating, pc, pm, rng)[:batch], None
+        children = _variation(mating, params.crossover_prob, params.mutation_prob, rng)
+        return children[:batch], None
 
     def survive(ranked: RankedPopulation, rng: np.random.Generator):
         return _nsga3_survival(ranked, params.pop_size, directions, rng)

@@ -1,11 +1,15 @@
 """The campaign benchmark reaches into mnkbench by name: its tracer wraps
 the functions in ``spans.TRACED`` and its checks import program names.  A
 deleted or renamed one makes a benchmark round fail, so it fails here first.
+So does a change its names alone do not show: a signature that its checks'
+direct calls no longer bind, or a run function the tracer no longer sees.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,16 @@ def test_checks_import_existing_names():
     for module, name in imports:
         target = importlib.import_module(f"mnkbench.{module}" if module else "mnkbench")
         assert hasattr(target, name), f"mnkbench.{module} has no {name}"
+
+
+def test_benchmark_selfcheck_passes():
+    # a tiny campaign through the CLI, checked, corrupted and traced; it
+    # writes only under the git-ignored .campaign_bench/selfcheck/
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "selfcheck.py")],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

@@ -1,7 +1,7 @@
 import csv
 import json
 import shutil
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,7 @@ from mnkbench.experiment import (
 )
 from mnkbench.features import extract_features
 from mnkbench.landscape import load_instance
-from mnkbench.optimizers import mboa_run, nsga3_run
+from mnkbench.optimizers import RunParams, mboa_run, nsga3_run
 from mnkbench.seeds import derive_seed
 
 
@@ -186,17 +186,8 @@ def test_run_ignores_earlier_campaign_with_same_instance_ids(tmp_path):
         for run in range(second.runs_per_instance):
             for algorithm in ("mboa", "nsga3"):
                 seed = derive_seed(second.master_seed, iid, algorithm, run)
-                params = second.run_params(seed)
-                if algorithm == "mboa":
-                    result = mboa_run(instance, pareto, params)
-                else:
-                    result = nsga3_run(
-                        instance,
-                        pareto,
-                        params,
-                        pc=second.crossover_prob,
-                        pm=second.mutation_prob,
-                    )
+                run_fn = {"mboa": mboa_run, "nsga3": nsga3_run}[algorithm]
+                result = run_fn(instance, pareto, second.run_params(seed))
                 path = root / "runs" / algorithm / iid / f"run-{run:04d}.json"
                 doc = json.loads(path.read_text())
                 assert (doc["success"], doc["evaluations"], doc["generations"]) == (
@@ -560,6 +551,31 @@ def test_cli_names_a_bad_config_file(tmp_path, capsys, text):
     assert str(path) in capsys.readouterr().err
 
 
+def test_run_params_carry_every_run_field_of_the_config():
+    # every RunParams field but the seed comes from the same-named config
+    # field (t_max resolved), so a field added to RunParams and left unfilled
+    # keeps its default and fails here
+    config = ExperimentConfig(
+        epsilon=0.25,
+        t_max=5000,
+        pop_size=40,
+        pgm_size=30,
+        sample_size=70,
+        max_parents=1,
+        crossover_prob=0.6,
+        mutation_prob=0.01,
+    )
+    params, default = config.run_params(17), ExperimentConfig().run_params(17)
+    assert params.seed == 17
+    for field in fields(RunParams):
+        if field.name == "seed":
+            continue
+        value = getattr(params, field.name)
+        assert value != getattr(default, field.name), f"{field.name} left at its default"
+        source = "resolved_t_max" if field.name == "t_max" else field.name
+        assert value == getattr(config, source), field.name
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -573,6 +589,11 @@ def test_cli_names_a_bad_config_file(tmp_path, capsys, text):
         ("master_seed", 1.5),
         ("master_seed", -1),
         ("master_seed", True),
+        # counts are integers: 20.0 would pass the range checks and fail mid-run
+        ("pop_size", 20.0),
+        ("max_parents", 1.5),
+        ("runs_per_instance", 1.0),
+        ("sample_size", True),
     ],
 )
 def test_bad_config_rejected_before_any_work(tmp_path, capsys, field, value):

@@ -386,14 +386,14 @@ def test_mboa_rejects_foreign_pareto_set():
 def test_nsga3_is_deterministic():
     inst = generate_instance(3, 10, 3, 2)
     exact = enumerate_pareto(inst)
-    params = _params(seed=21)
-    a = nsga3_run(inst, exact, params, pc=0.8, pm=0.05)
-    b = nsga3_run(inst, exact, params, pc=0.8, pm=0.05)
+    params = _params(seed=21, crossover_prob=0.8, mutation_prob=0.05)
+    a = nsga3_run(inst, exact, params)
+    b = nsga3_run(inst, exact, params)
     assert _result_fields(a) == _result_fields(b)
 
 
 def test_nsga3_coverage_never_lost_without_variation():
-    # pc = pm = 0: no new genetic material; with the merged front always
+    # both rates 0: no new genetic material; with the merged front always
     # fitting the population, elitism keeps every front member, so any
     # epsilon level once covered stays covered
     inst = generate_instance(31, 10, 2, 2)
@@ -402,9 +402,15 @@ def test_nsga3_coverage_never_lost_without_variation():
     result = nsga3_run(
         inst,
         exact,
-        _params(pop_size=30, pgm_size=15, seed=3, t_max=330, epsilon=0.0),
-        pc=0.0,
-        pm=0.0,
+        _params(
+            pop_size=30,
+            pgm_size=15,
+            seed=3,
+            t_max=330,
+            epsilon=0.0,
+            crossover_prob=0.0,
+            mutation_prob=0.0,
+        ),
         on_generation=lambda g, bits, objs: snapshots.append(objs.copy()),
     )
     assert not result.success
@@ -417,30 +423,51 @@ def test_nsga3_coverage_never_lost_without_variation():
 
 
 def test_nsga3_succeeds_on_popcount_hill():
-    # frozen from a 100-seed pilot: P=20, eps=0.25, pm=0.1 reaches the
+    # frozen from a 100-seed pilot: P=20, eps=0.25, mutation 0.1 reaches the
     # required coverage within t_max = 2^10/10 = 102 evaluations
     inst = oracles.popcount_instance(10)
     exact = enumerate_pareto(inst)
     wins = 0
     for seed in range(100):
         params = RunParams(
-            pop_size=20, pgm_size=10, sample_size=1, t_max=102, epsilon=0.25, seed=seed
+            pop_size=20,
+            pgm_size=10,
+            sample_size=1,
+            t_max=102,
+            epsilon=0.25,
+            seed=seed,
+            crossover_prob=0.8,
+            mutation_prob=0.1,
         )
-        wins += nsga3_run(inst, exact, params, pc=0.8, pm=0.1).success
+        wins += nsga3_run(inst, exact, params).success
     assert wins >= 90
 
 
 def test_nsga3_rejects_bad_rates():
+    # the rates are range-checked once, by RunParams, naming the field
+    for field in ("crossover_prob", "mutation_prob"):
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError, match=field):
+                _params(**{field: rate})
+
+
+def test_nsga3_rejects_rate_keywords_that_disagree_with_params():
+    # pc= and pm= set nothing: only a value equal to the params' rate passes
     inst = generate_instance(3, 10, 2, 2)
     exact = enumerate_pareto(inst)
-    with pytest.raises(ValueError):
-        nsga3_run(inst, exact, _params(), pc=1.5, pm=0.1)
+    params = _params(t_max=40, crossover_prob=0.8, mutation_prob=0.05)
+    expected = _result_fields(nsga3_run(inst, exact, params))
+    assert _result_fields(nsga3_run(inst, exact, params, pc=0.8, pm=0.05)) == expected
+    for keywords in ({"pc": 0.9}, {"pm": 0.1}, {"pc": 0.8, "pm": 0.002}):
+        with pytest.raises(ValueError, match="pc and pm"):
+            nsga3_run(inst, exact, params, **keywords)
 
 
 def test_nsga3_evaluation_accounting():
     inst = generate_instance(3, 10, 2, 6)
     exact = enumerate_pareto(inst)
-    result = nsga3_run(inst, exact, _params(t_max=95, epsilon=0.0, seed=2), pm=0.05)
+    params = _params(t_max=95, epsilon=0.0, seed=2, mutation_prob=0.05)
+    result = nsga3_run(inst, exact, params)
     # three full offspring batches of 20, then a final batch cut to 15
     assert result.generations == 4
     assert not result.success

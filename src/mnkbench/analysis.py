@@ -9,9 +9,17 @@ default, excluded from regression (an imputation mode is available).
 
 Cost models are ordinary least squares on the landscape features, with the
 response log(ert) and log-transformed m, k, npo, nconnec and lconnec.
-Model quality is summarized by the absolute Pearson correlation between
+Model quality is summarized by the absolute Pearson correlation r between
 predicted and observed values, the mean absolute error, and the root mean
 squared error, both in-sample and under seeded k-fold cross validation.
+
+Every fit, in sample and in each fold, goes through one least-squares
+kernel, and every statistic through one scoring function.  A design in
+which no column varies (the "none" row, a constant feature, the end of the
+elimination ladder) is the intercept-only baseline: it predicts mean(y)
+in sample, the training-fold means under cross validation, and its r is 0
+in both.  r is also 0 when the predictions or the responses are all equal,
+since no correlation is defined there.
 """
 
 from __future__ import annotations
@@ -143,11 +151,14 @@ def estimate_ert(
     )
 
 
-def _stats(y: np.ndarray, predicted: np.ndarray) -> ModelStats:
+def _stats(y: np.ndarray, predicted: np.ndarray, featureless: bool = False) -> ModelStats:
+    """Scores ``predicted`` against ``y``.  r is 0 for a featureless model and
+    whenever either side is all equal values, tested exactly: the standard
+    deviation of equal values can be a rounding residue above 0."""
     resid = predicted - y
     mae = float(np.abs(resid).mean())
     rmse = float(np.sqrt((resid**2).mean()))
-    if np.std(predicted) <= 0.0 or np.std(y) <= 0.0:
+    if featureless or np.ptp(predicted) == 0.0 or np.ptp(y) == 0.0:
         r = 0.0
     else:
         r = float(abs(np.corrcoef(predicted, y)[0, 1]))
@@ -158,11 +169,30 @@ def _design(xs: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((xs.shape[0], 1)), xs])
 
 
-def _ols_predict(train_x, train_y, test_x) -> np.ndarray:
-    """Least-squares predictions; rank deficiency falls back to the
-    minimum-norm solution, whose predictions are still well-defined."""
+def _featureless(xs: np.ndarray) -> bool:
+    """Whether no column of ``xs`` varies (zero columns included): such a
+    design is the intercept-only baseline."""
+    return not np.ptp(xs, axis=0).any()
+
+
+def _ols(train_x, train_y, test_x) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients, intercept first, and the predictions at
+    ``test_x``; rank deficiency falls back to the minimum-norm solution,
+    whose predictions are still well-defined."""
     beta, *_ = np.linalg.lstsq(_design(train_x), train_y, rcond=None)
-    return _design(test_x) @ beta
+    return beta, _design(test_x) @ beta
+
+
+def _fit(xs: np.ndarray, ys: np.ndarray) -> tuple[RegressionModel, ModelStats]:
+    """In-sample OLS with intercept; a featureless design gives intercept
+    mean(y) and zero slopes."""
+    if _featureless(xs):
+        beta = np.zeros(xs.shape[1] + 1)
+        beta[0] = ys.mean()
+        predicted = np.full(len(ys), beta[0])
+    else:
+        beta, predicted = _ols(xs, ys, xs)
+    return RegressionModel(coefficients=tuple(float(b) for b in beta)), _stats(ys, predicted)
 
 
 def fit_simple(
@@ -177,13 +207,7 @@ def fit_simple(
         raise ValueError("xs and ys must have equal length")
     if len(ys) < 3:
         raise ValueError("at least 3 observations are required")
-    if np.ptp(xs) == 0.0:
-        beta = np.array([ys.mean(), 0.0])
-    else:
-        beta, *_ = np.linalg.lstsq(_design(xs[:, None]), ys, rcond=None)
-    predicted = _design(xs[:, None]) @ beta
-    model = RegressionModel(coefficients=tuple(float(b) for b in beta))
-    return model, _stats(ys, predicted)
+    return _fit(xs[:, None], ys)
 
 
 def fit_multiple(
@@ -219,10 +243,7 @@ def fit_multiple(
             "design matrix is rank-deficient; collinear columns: "
             + ", ".join(collinear)
         )
-    beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    predicted = design @ beta
-    model = RegressionModel(coefficients=tuple(float(b) for b in beta))
-    return model, _stats(ys, predicted)
+    return _fit(xs, ys)
 
 
 def kfold_cv(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> ModelStats:
@@ -230,6 +251,8 @@ def kfold_cv(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> ModelStats:
 
     Shuffles once, splits into k near-equal folds, pools the out-of-fold
     predictions, and scores the pooled predictions against the responses.
+    A featureless design is fitted on no columns, so each fold predicts its
+    training mean, and its r is 0.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:
@@ -240,24 +263,15 @@ def kfold_cv(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> ModelStats:
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError(f"cannot split {n} rows into {k} folds")
+    featureless = _featureless(xs)
+    if featureless:
+        xs = xs[:, :0]
     permutation = np.random.default_rng(seed).permutation(n)
     pooled = np.empty(n, dtype=np.float64)
     for fold in np.array_split(permutation, k):
         train = np.setdiff1d(permutation, fold, assume_unique=True)
-        pooled[fold] = _ols_predict(xs[train], ys[train], xs[fold])
-    return _stats(ys, pooled)
-
-
-def _intercept_only_stats(ys: np.ndarray) -> ModelStats:
-    predicted = np.full(len(ys), ys.mean())
-    return _stats(ys, predicted)
-
-
-def _intercept_only_cv(ys: np.ndarray, k: int, seed: int) -> ModelStats:
-    # out-of-fold means vary slightly by fold, which would show up as a
-    # spurious correlation; a featureless model has r = 0 by definition
-    stats = kfold_cv(np.empty((len(ys), 0)), ys, k, seed)
-    return ModelStats(r=0.0, mae=stats.mae, rmse=stats.rmse)
+        _, pooled[fold] = _ols(xs[train], ys[train], xs[fold])
+    return _stats(ys, pooled, featureless)
 
 
 def backward_eliminate(
@@ -281,35 +295,22 @@ def backward_eliminate(
     if len(names) < 2:
         raise ValueError("backward elimination needs at least 2 features")
 
-    def in_sample_r(cols: list[int]) -> float:
-        if not cols:
-            return 0.0
-        predicted = _ols_predict(xs[:, cols], ys, xs[:, cols])
-        return _stats(ys, predicted).r
-
     remaining = list(range(len(names)))
     steps: list[EliminationStep] = []
     while remaining:
-        best_name, best_r, best_cols = None, -1.0, None
+        best = None
         for col in sorted(remaining, key=lambda c: names[c]):
             trial = [c for c in remaining if c != col]
-            r = in_sample_r(trial)
-            if r > best_r:
-                best_name, best_r, best_cols = names[col], r, trial
-        remaining = best_cols
-        if remaining:
-            predicted = _ols_predict(xs[:, remaining], ys, xs[:, remaining])
-            fit_stats = _stats(ys, predicted)
-            cv_stats = kfold_cv(xs[:, remaining], ys, k_folds, seed)
-        else:
-            fit_stats = _intercept_only_stats(ys)
-            cv_stats = _intercept_only_cv(ys, k_folds, seed)
+            _, stats = _fit(xs[:, trial], ys)
+            if best is None or stats.r > best[2].r:
+                best = (names[col], trial, stats)
+        removed, remaining, fit_stats = best
         steps.append(
             EliminationStep(
-                removed=best_name,
+                removed=removed,
                 remaining=tuple(names[c] for c in remaining),
                 fit=fit_stats,
-                cv=cv_stats,
+                cv=kfold_cv(xs[:, remaining], ys, k_folds, seed),
             )
         )
     return steps
@@ -358,10 +359,6 @@ def design_matrix(feature_vectors: Sequence[FeatureVector]) -> tuple[np.ndarray,
     return np.array(rows, dtype=np.float64), labels
 
 
-def _stats_dict(stats: ModelStats) -> dict:
-    return {"r": stats.r, "mae": stats.mae, "rmse": stats.rmse}
-
-
 def regression_report(
     features: dict[str, FeatureVector],
     ert_records: Iterable[ErtRecord],
@@ -373,7 +370,8 @@ def regression_report(
 
     ``censored_mode`` is "exclude" (drop zero-success instances, the
     default) or "impute_tmax" (stand in t_max for their undefined ert).
-    Requires at least 3 usable instances per algorithm.
+    Requires at least 3 usable instances per algorithm, and a positive
+    value of each log-transformed feature on each of them.
     """
     if censored_mode not in CENSORED_MODES:
         raise ValueError(f"unknown censored_mode {censored_mode!r}")
@@ -403,6 +401,13 @@ def regression_report(
         missing = [iid for iid, _ in used if iid not in features]
         if missing:
             raise ValueError(f"no features for instances: {', '.join(missing)}")
+        for name in sorted(LOG_FEATURES):
+            nonpositive = [iid for iid, _ in used if getattr(features[iid], name) <= 0]
+            if nonpositive:
+                raise ValueError(
+                    f"{feature_label(name)} is undefined at {name} <= 0, on instances: "
+                    + ", ".join(nonpositive)
+                )
         if len(used) < 3:
             raise ValueError(
                 f"algorithm {algorithm!r}: regression needs at least 3 uncensored "
@@ -413,26 +418,16 @@ def regression_report(
         xs, labels = design_matrix([features[iid] for iid in ids])
         k_eff = min(k_folds, len(ids))
 
-        simple_rows = [
-            {
-                "feature": "none",
-                "fit": _stats_dict(_intercept_only_stats(y)),
-                "cv": _stats_dict(_intercept_only_cv(y, k_eff, cv_seed)),
-            }
-        ]
-        feature_rows = []
-        for col, label in enumerate(labels):
-            _, fit_stats = fit_simple(xs[:, col], y)
-            cv_stats = kfold_cv(xs[:, col : col + 1], y, k_eff, cv_seed)
-            feature_rows.append(
-                {
-                    "feature": label,
-                    "fit": _stats_dict(fit_stats),
-                    "cv": _stats_dict(cv_stats),
-                }
-            )
-        feature_rows.sort(key=lambda row: (row["fit"]["r"], row["feature"]))
-        simple_rows.extend(feature_rows)
+        def simple_row(feature: str, x: np.ndarray) -> dict:
+            _, fit_stats = _fit(x, y)
+            cv_stats = kfold_cv(x, y, k_eff, cv_seed)
+            return {"feature": feature, "fit": asdict(fit_stats), "cv": asdict(cv_stats)}
+
+        feature_rows = sorted(
+            (simple_row(label, xs[:, col : col + 1]) for col, label in enumerate(labels)),
+            key=lambda row: (row["fit"]["r"], row["feature"]),
+        )
+        simple_rows = [simple_row("none", xs[:, :0]), *feature_rows]
 
         try:
             model, all_stats = fit_multiple(xs, y, names=labels)
@@ -444,24 +439,12 @@ def regression_report(
             ladder = backward_eliminate(xs, y, labels, k_folds=k_eff, seed=cv_seed)
             multiple = {
                 "all": {
-                    "fit": _stats_dict(all_stats),
-                    "cv": _stats_dict(kfold_cv(xs, y, k_eff, cv_seed)),
-                    "coefficients": {
-                        "intercept": model.coefficients[0],
-                        **{
-                            label: coef
-                            for label, coef in zip(labels, model.coefficients[1:])
-                        },
-                    },
+                    "fit": asdict(all_stats),
+                    "cv": asdict(kfold_cv(xs, y, k_eff, cv_seed)),
+                    "coefficients": dict(zip(("intercept", *labels), model.coefficients)),
                 },
                 "elimination": [
-                    {
-                        "removed": step.removed,
-                        "remaining": list(step.remaining),
-                        "fit": _stats_dict(step.fit),
-                        "cv": _stats_dict(step.cv),
-                    }
-                    for step in ladder
+                    asdict(step) | {"remaining": list(step.remaining)} for step in ladder
                 ],
             }
         report["algorithms"][algorithm] = {

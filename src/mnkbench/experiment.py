@@ -39,7 +39,7 @@ from .enumeration import (
 from .features import FEATURE_COLUMNS, FeatureVector, extract_features
 from .landscape import _read_json_object, generate_instance, load_instance, save_instance
 from .optimizers import REFERENCE_DIVISIONS, RunParams, mboa_run, nsga3_run
-from .optimizers import _require_integer
+from .optimizers import _require_integer, _require_real
 from .seeds import derive_seed
 
 __all__ = [
@@ -86,9 +86,17 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        # a str or bool seed would derive other streams, a float count fail mid-run
-        for name in ("master_seed", "n_vars", "landscapes_per_cell", "runs_per_instance"):
+        # a str or bool seed would derive other streams, a float count fail
+        # mid-run, a numpy scalar fail the config echo
+        for name in (
+            "master_seed", "n_vars", "landscapes_per_cell", "runs_per_instance",
+            "pop_size", "pgm_size", "sample_size", "max_parents",
+        ):
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        if self.t_max is not None:
+            object.__setattr__(self, "t_max", _require_integer("t_max", self.t_max))
+        for name in ("epsilon", "crossover_prob", "mutation_prob"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         for name in ("k_values", "m_values"):
             values = tuple(_require_integer(name, value) for value in getattr(self, name))
             object.__setattr__(self, name, values)

@@ -81,6 +81,13 @@ def _require_integer(name: str, value) -> int:
     return int(value)
 
 
+def _require_real(name: str, value) -> float:
+    """``value`` as a float; raises unless it is a finite real (a bool, NaN or "0.1" is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RunParams:
     """The one record of what shapes a run of either optimizer;
@@ -106,6 +113,8 @@ class RunParams:
     def __post_init__(self) -> None:
         for name in ("pop_size", "pgm_size", "sample_size", "t_max", "max_parents"):
             _require_integer(name, getattr(self, name))
+        for name in ("epsilon", "crossover_prob", "mutation_prob"):
+            _require_real(name, getattr(self, name))
         if self.pop_size < 1:
             raise ValueError("pop_size must be positive")
         if not 1 <= self.pgm_size <= self.pop_size:
@@ -353,10 +362,8 @@ def _normalize(objs_min: np.ndarray) -> np.ndarray:
     m = objs_min.shape[1]
     translated = objs_min - objs_min.min(axis=0)
     weights = np.full((m, m), 1e-6) + np.eye(m)
-    extreme_rows = np.array(
-        [int(np.argmin((translated / weights[j]).max(axis=1))) for j in range(m)]
-    )
-    extremes = translated[extreme_rows]
+    # per axis j, the row of least achievement scalarization max(row / weights[j])
+    extremes = translated[(translated[None] / weights[:, None]).max(axis=2).argmin(axis=1)]
     intercepts = None
     try:
         beta = np.linalg.solve(extremes, np.ones(m))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -437,3 +438,84 @@ def test_design_matrix_transforms():
     ]
     assert np.allclose(xs[0], expected)
     assert labels[0] == "log(m)" and labels[3] == "hv" and labels[-1] == "kconnec"
+
+
+def _report_rows(section):
+    """Every (row name, stats) pair of one algorithm's report section."""
+    rows = [(row["feature"], row[part]) for row in section["simple"] for part in ("fit", "cv")]
+    multiple = section["multiple"]
+    if "all" in multiple:
+        rows += [("all", multiple["all"][part]) for part in ("fit", "cv")]
+        rows += [
+            (step["removed"], step[part]) for step in multiple["elimination"] for part in ("fit", "cv")
+        ]
+    return rows
+
+
+def _mboa_records(features, seed):
+    """One "mboa" record per instance: 1 to 9 successes in 10 runs."""
+    rng = np.random.default_rng(seed)
+    return [
+        estimate_ert(
+            _runs(int(rng.integers(1, 10)), 10, evals=int(rng.integers(10, 100))),
+            t_max=100,
+            instance_id=iid,
+            algorithm="mboa",
+        )
+        for iid in sorted(features)
+    ]
+
+
+def test_constant_feature_row_equals_the_none_row():
+    # a single-K grid: log(k) is featureless, in sample and in every CV fold
+    features = {
+        iid: replace(fv, k=4) for iid, fv in _fake_features(30, seed=4).items()
+    }
+    report = regression_report(features, _mboa_records(features, 4), k_folds=10, cv_seed=2)
+    rows = {row["feature"]: row for row in report["algorithms"]["mboa"]["simple"]}
+    assert {**rows["log(k)"], "feature": "none"} == rows["none"]
+    assert rows["none"]["cv"]["r"] == 0.0
+
+
+def test_constant_feature_under_leave_one_out_has_zero_r():
+    # 8 instances make the CV leave-one-out, where a constant feature's
+    # out-of-fold predictions are the fold means
+    features = {
+        iid: replace(fv, m=3) for iid, fv in _fake_features(8, seed=5).items()
+    }
+    report = regression_report(features, _mboa_records(features, 5), k_folds=10, cv_seed=0)
+    rows = {row["feature"]: row for row in report["algorithms"]["mboa"]["simple"]}
+    assert rows["log(m)"]["fit"]["r"] == 0.0
+    assert rows["log(m)"]["cv"]["r"] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_featureless_r_is_exactly_zero(seed):
+    # at 34 rows, equal predictions often have a standard deviation of a
+    # rounding residue above 0
+    features = _fake_features(34, seed=seed)
+    report = regression_report(features, _mboa_records(features, seed), cv_seed=seed)
+    section = report["algorithms"]["mboa"]
+    none = section["simple"][0]
+    last = section["multiple"]["elimination"][-1]
+    assert (none["feature"], last["remaining"]) == ("none", [])
+    assert [none["fit"]["r"], none["cv"]["r"], last["fit"]["r"], last["cv"]["r"]] == [0.0] * 4
+
+
+def test_constant_response_gives_zero_r_in_every_row():
+    features = _fake_features(34, seed=6)
+    records = [
+        estimate_ert(_runs(5, 10, evals=10), t_max=100, instance_id=iid, algorithm="mboa")
+        for iid in sorted(features)
+    ]
+    report = regression_report(features, records, cv_seed=1)
+    rows = _report_rows(report["algorithms"]["mboa"])
+    assert len(rows) == 2 * (10 + 1 + 9)
+    assert {name: stats["r"] for name, stats in rows if stats["r"] != 0.0} == {}
+
+
+def test_zero_k_is_named_before_fitting():
+    features = _fake_features(10, seed=7)
+    features["inst-03"] = replace(features["inst-03"], k=0)
+    with pytest.raises(ValueError, match=r"log\(k\).*inst-03"):
+        regression_report(features, _mboa_records(features, 7))

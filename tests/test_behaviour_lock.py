@@ -38,21 +38,34 @@ Locked:
   ``enumerate_pareto`` bytes and (avgd, maxd, nconnec, lconnec, kconnec)
   of three fronts of 129 to 1,475 points;
 * ``enumerate_pareto`` at N=17, M=8, K=10, whose two chunks reduce to a
-  front of 12,344 points.
+  front of 12,344 points;
+* ``regression_report`` bytes, as ``regression.json`` writes them, on
+  seeded feature and ert tables: a grid where every feature varies (the
+  multiple model and its elimination ladder), a single-K grid, and a
+  single-M grid of 8 instances (leave-one-out CV), each under both censored
+  modes, with an algorithm that never succeeds under ``impute_tmax``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mnkbench.analysis import estimate_ert, regression_report
 from mnkbench.bayesnet import k2_learn
 from mnkbench.enumeration import enumerate_pareto
 from mnkbench.experiment import ExperimentConfig, cmd_all
-from mnkbench.features import connectivity, monte_carlo_hypervolume, pareto_distances
+from mnkbench.features import (
+    FeatureVector,
+    connectivity,
+    monte_carlo_hypervolume,
+    pareto_distances,
+)
 from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import RunParams, mboa_run, nsga3_run
 
@@ -192,8 +205,10 @@ def test_default_size_runs_locked(m):
     assert digest == DEFAULT_SIZE_CASES[m]
 
 
+# moved once on purpose: the intercept-only rows of nsga3 in regression.json
+# ("none" and the last elimination step) report r 0.0, not 1.27e-16
 CAMPAIGN_DIGEST = (
-    "7cadd4520dab4e34d3c15a67410a3f9a4588e4984bf7c1a5dc41b51ead1662ec"
+    "a9ef27846ba2392b23fb0b078fa383f0eda5d7cf11ffdf817c89c0b87dfdc8da"
 )
 FEATURES_DIGEST = (
     "3b5ccbb7bcede39d884ef52035425b63d84e17b0e7b0fe238742528c81dd237e"
@@ -340,3 +355,64 @@ def test_m8_enumeration_locked():
     _feed_array(digest, pareto.objectives)
     assert pareto.size == 12344
     assert digest.hexdigest() == "f6b47a80baadf59daa9f148c2407cf2866a0fa5a60a8d71a116237f1cacb9966"
+
+
+# grid -> (seed, instances, K values, M values) of the seeded feature tables
+REGRESSION_GRIDS = {
+    # every feature varies: the multiple model and its elimination ladder
+    "multi": (1, 40, (2, 4, 6, 8, 10), (2, 3, 5, 8)),
+    # log(k) is constant, so the multiple model is skipped
+    "single-k": (2, 24, (4,), (2, 3, 5, 8)),
+    # log(m) is constant and 8 instances make the 10-fold CV leave-one-out
+    "single-m-loo": (3, 8, (2, 6, 10), (3,)),
+}
+
+
+def _regression_tables(seed, count, k_values, m_values):
+    """Seeded features and ert records for "mboa" (ert unrelated to the
+    features), "nsga3" (ert growing with K) and "flat" (never solved)."""
+    rng = np.random.default_rng([seed, count])
+    features, records = {}, []
+    for i in range(count):
+        iid = f"g{seed}-i{i:03d}"
+        k = int(rng.choice(k_values))
+        features[iid] = FeatureVector(
+            m=int(rng.choice(m_values)),
+            k=k,
+            npo=int(rng.integers(2, 2000)),
+            hv=float(rng.random()),
+            avgd=float(rng.random() * 5),
+            maxd=float(rng.random() * 5 + 5),
+            nconnec=int(rng.integers(1, 40)),
+            lconnec=float(rng.random() * 0.9 + 0.1),
+            kconnec=int(rng.integers(1, 8)),
+        )
+        for algorithm, scale in (("mboa", 1), ("nsga3", k), ("flat", 0)):
+            successes = int(rng.integers(0, 6)) if scale else 0
+            runs = [
+                SimpleNamespace(success=True, evaluations=int(rng.integers(20, 100)) * scale)
+                for _ in range(successes)
+            ]
+            runs += [SimpleNamespace(success=False, evaluations=0)] * (5 - successes)
+            records.append(estimate_ert(runs, 2000, iid, algorithm))
+    return features, records
+
+
+# moved once on purpose from 75bbaa1e...: every featureless row and every
+# row of a constant response reports r 0.0, and a constant feature's row
+# equals the "none" row; no other row changed
+REGRESSION_DIGEST = "682ecc8322d55181e3e701f8f77f32fcd6036a027f7fecd431f350ac711d9121"
+
+
+def test_regression_report_locked():
+    # every grid under both censored modes; "flat" only under impute_tmax,
+    # where each of its responses is log(t_max)
+    digest = hashlib.sha256()
+    for grid in sorted(REGRESSION_GRIDS):
+        features, records = _regression_tables(*REGRESSION_GRIDS[grid])
+        for mode in ("exclude", "impute_tmax"):
+            used = [r for r in records if mode == "impute_tmax" or r.algorithm != "flat"]
+            report = regression_report(features, used, k_folds=10, cv_seed=5, censored_mode=mode)
+            digest.update(f"{grid} {mode}\0".encode())
+            digest.update((json.dumps(report, indent=1) + "\n").encode())
+    assert digest.hexdigest() == REGRESSION_DIGEST

@@ -4,6 +4,7 @@ import shutil
 from dataclasses import astuple, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mnkbench import experiment
@@ -594,6 +595,14 @@ def test_run_params_carry_every_run_field_of_the_config():
         ("max_parents", 1.5),
         ("runs_per_instance", 1.0),
         ("sample_size", True),
+        # rates are finite reals: true, NaN and inf would load and run, "0.1"
+        # would fail in a comparison that names no field
+        ("epsilon", True),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", "0.1"),
+        ("crossover_prob", "0.8"),
+        ("mutation_prob", False),
     ],
 )
 def test_bad_config_rejected_before_any_work(tmp_path, capsys, field, value):
@@ -606,3 +615,34 @@ def test_bad_config_rejected_before_any_work(tmp_path, capsys, field, value):
     assert main(["--config", str(path), "gen"]) == 1
     assert field in capsys.readouterr().err
     assert not Path(doc["output_dir"]).exists()
+
+
+def test_numpy_run_fields_give_the_plain_campaign(tmp_path):
+    # numpy scalars are stored as Python numbers, so the config echo can be
+    # written and every campaign byte matches the plain config's
+    plain = _tiny_config(tmp_path, landscapes_per_cell=3, output_dir=str(tmp_path / "plain"))
+    numpy_config = _tiny_config(
+        tmp_path,
+        landscapes_per_cell=3,
+        output_dir=str(tmp_path / "numpy"),
+        pop_size=np.int64(12),
+        pgm_size=np.int32(6),
+        sample_size=np.uint16(24),
+        max_parents=np.int64(2),
+        t_max=np.int64(64),
+        epsilon=np.float64(0.3),
+        crossover_prob=np.float64(0.8),
+    )
+    for name in ("pop_size", "pgm_size", "sample_size", "max_parents", "t_max"):
+        assert type(getattr(numpy_config, name)) is int, name
+    for name in ("epsilon", "crossover_prob", "mutation_prob"):
+        assert type(getattr(numpy_config, name)) is float, name
+    cmd_all(plain)
+    cmd_all(numpy_config)
+    files = {}
+    for config in (plain, numpy_config):
+        root = Path(config.output_dir)
+        files[config.output_dir] = {
+            p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+        }
+    assert files[plain.output_dir] == files[numpy_config.output_dir]

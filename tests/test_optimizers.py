@@ -59,6 +59,10 @@ def _result_fields(result):
         dict(t_max=19),
         dict(epsilon=-0.1),
         dict(pop_size=0),
+        # rates are finite reals
+        dict(epsilon=float("nan")),
+        dict(epsilon=True),
+        dict(crossover_prob="0.8"),
     ],
 )
 def test_params_invariants(overrides):
@@ -482,6 +486,36 @@ def test_normalize_falls_back_without_warning_on_zero_beta():
         warnings.simplefilter("error")
         normalized = _normalize(block)
     assert np.array_equal(normalized, block / 2.0)
+
+
+def _normalize_reference(objs_min):
+    """``_normalize`` with the extreme rows found in one pass per axis."""
+    m = objs_min.shape[1]
+    translated = objs_min - objs_min.min(axis=0)
+    weights = np.full((m, m), 1e-6) + np.eye(m)
+    rows = [int(np.argmin((translated / weights[j]).max(axis=1))) for j in range(m)]
+    intercepts = None
+    try:
+        beta = np.linalg.solve(translated[rows], np.ones(m))
+        if np.all(beta > 0):
+            candidate = 1.0 / beta
+            if np.all(np.isfinite(candidate)) and np.all(candidate > 1e-10):
+                intercepts = candidate
+    except np.linalg.LinAlgError:
+        pass
+    if intercepts is None:
+        intercepts = translated.max(axis=0)
+    return translated / np.where(intercepts > 1e-10, intercepts, 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_normalize_equals_the_per_axis_loop(m):
+    # small integer objectives tie often, so argmin's first-index rule matters
+    rng = np.random.default_rng(m)
+    blocks = [rng.random((size, m)) for size in (1, m, 40, 200)]
+    blocks += [rng.integers(0, 4, (size, m)).astype(float) for size in (m, 40, 200)]
+    for block in blocks:
+        assert _normalize(block).tobytes() == _normalize_reference(block).tobytes()
 
 
 def _associate_reference(normalized, directions):

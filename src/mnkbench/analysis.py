@@ -34,7 +34,7 @@ import numpy as np
 from .bayesnet import BNStructure, CPTs, log_joint_pmf
 from .enumeration import ParetoSet
 from .features import FeatureVector
-from .landscape import bits_to_string
+from .landscape import bits_to_strings
 
 __all__ = [
     "ErtRecord",
@@ -337,9 +337,10 @@ def pareto_pmf_view(
     ideal = pareto.objectives.max(axis=0)
     dist = np.sqrt(((pareto.objectives - ideal) ** 2).sum(axis=1))
     order = np.lexsort((pareto.codes, dist))
+    strings = bits_to_strings(pareto.solutions)
     return [
         PmfViewEntry(
-            bitstring=bits_to_string(pareto.solutions[i]),
+            bitstring=strings[i],
             objectives=tuple(float(v) for v in pareto.objectives[i]),
             mean_pmf=float(pmf[i]),
             dist_to_ideal=float(dist[i]),

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .landscape import MNKInstance, bits_to_string, evaluate_batch, string_to_bits
-from .landscape import _read_json_object, _require
+from .landscape import MNKInstance, bits_to_strings, string_to_bits
+from .landscape import _bit_matrix, _code_objectives, _read_json_object, _require
 
 __all__ = [
     "ParetoSet",
@@ -37,6 +37,9 @@ __all__ = [
 
 ENUMERATION_CAP = 24
 _CHUNK = 1 << 16
+# enumerate_pareto evaluates blocks of at most 2^11 codes: larger index
+# tables raise its peak memory and are no faster
+_LOW_BITS = 11
 _FORMAT_VERSION = 1
 
 
@@ -94,19 +97,24 @@ class ParetoSet:
         )
 
 
-def _bit_matrix(codes: np.ndarray, n_vars: int) -> np.ndarray:
-    shifts = np.arange(n_vars - 1, -1, -1, dtype=np.uint32)
-    return ((codes[:, None] >> shifts) & 1).astype(np.uint8)
-
-
 def enumerate_pareto(instance: MNKInstance) -> ParetoSet:
     """Exact Pareto set over all 2^N solutions, in lexicographic order.
 
-    Works in chunks: each chunk is evaluated and reduced to its
-    non-dominated subset, and one filter over the union of those subsets
-    gives the set.  A point dominated anywhere is dominated by a Pareto
-    point, which survives its own chunk, so chunk boundaries do not matter;
-    chunks come in ascending code order and masks keep that order.
+    Works in chunks of ``_CHUNK`` codes: each chunk is evaluated and reduced
+    to its non-dominated subset, and one filter over the union of those
+    subsets gives the set.  A point dominated anywhere is dominated by a
+    Pareto point, which survives its own chunk, so chunk boundaries do not
+    matter; chunks come in ascending code order and masks keep that order.
+
+    No bit matrix is built for evaluation.  A table index is a sum of one
+    power of two per set bit, so it splits into the share of the last L
+    bits, the same in every block of 2^L codes, and a per-block shift of
+    the first N - L bits; ``landscape._code_objectives`` gathers each
+    block from one (2^L, N) index table per objective plus its shift.  The
+    gathered lookups and their ``.mean(axis=1)`` are those of
+    ``evaluate_batch``, so the objectives are the same bytes.  L is
+    ``_LOW_BITS``, cut to N and until 2^L divides ``_CHUNK``, so blocks
+    tile every chunk.
     """
     n = instance.n_vars
     if n > ENUMERATION_CAP:
@@ -114,13 +122,11 @@ def enumerate_pareto(instance: MNKInstance) -> ParetoSet:
             f"N={n} exceeds the enumeration cap of {ENUMERATION_CAP}; "
             "exact Pareto sets are only supported for enumerable instances"
         )
-    total = 1 << n
+    low_bits = min(n, _LOW_BITS, (_CHUNK & -_CHUNK).bit_length() - 1)
     chunk_codes, chunk_objs = [], []
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        objs = evaluate_batch(instance, _bit_matrix(codes, n))
+    for start, objs in _code_objectives(instance, low_bits, _CHUNK):
         local = pareto_mask(objs)
-        chunk_codes.append(codes[local])
+        chunk_codes.append(start + np.flatnonzero(local))
         chunk_objs.append(objs[local])
     codes = np.concatenate(chunk_codes)
     objs = np.vstack(chunk_objs)
@@ -389,7 +395,7 @@ def save_pareto_json(pareto: ParetoSet, path: str | Path) -> None:
         "instance_id": pareto.instance_id,
         "n": int(pareto.solutions.shape[1]),
         "m": int(pareto.objectives.shape[1]),
-        "solutions": [bits_to_string(row) for row in pareto.solutions],
+        "solutions": bits_to_strings(pareto.solutions),
         "objectives": pareto.objectives.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -449,5 +455,5 @@ def save_pareto_csv(pareto: ParetoSet, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bitstring"] + [f"z_{i + 1}" for i in range(m)])
-        for bits, objs in zip(pareto.solutions, pareto.objectives):
-            writer.writerow([bits_to_string(bits)] + [repr(float(v)) for v in objs])
+        for text, objs in zip(bits_to_strings(pareto.solutions), pareto.objectives.tolist()):
+            writer.writerow([text, *map(repr, objs)])

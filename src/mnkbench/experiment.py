@@ -403,6 +403,8 @@ def _ert_records(config: ExperimentConfig) -> list[ErtRecord]:
                 )
             )
     if not records:
+        if config.runs_per_instance == 0:
+            raise ValueError("the grid has no runs: runs_per_instance is 0")
         raise FileNotFoundError(
             "no run records found; execute 'run mboa' / 'run nsga3' first"
         )

@@ -26,6 +26,7 @@ doubles, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +42,7 @@ __all__ = [
     "save_instance",
     "load_instance",
     "bits_to_string",
+    "bits_to_strings",
     "string_to_bits",
     "FORMAT_VERSION",
 ]
@@ -53,14 +55,30 @@ class MalformedInstanceError(ValueError):
     """Raised when an instance file violates the documented schema."""
 
 
+def bits_to_strings(bits: np.ndarray) -> list[str]:
+    """The text form of each row of a (rows, N) array, nonzero entries as
+    "1"; all rows are written as one ASCII buffer and sliced."""
+    bits = np.asarray(bits)
+    n = bits.shape[1]
+    text = np.where(bits != 0, 49, 48).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i * n : (i + 1) * n] for i in range(bits.shape[0])]
+
+
 def bits_to_string(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    return bits_to_strings(np.reshape(bits, (1, -1)))[0]
 
 
 def string_to_bits(text: str) -> np.ndarray:
     if any(c not in "01" for c in text):
         raise ValueError(f"bitstring may contain only 0/1, got {text!r}")
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+def _bit_matrix(codes: np.ndarray, n_vars: int) -> np.ndarray:
+    """The (len(codes), n_vars) uint8 solutions with these integer codes,
+    variable 0 the most significant bit."""
+    shifts = np.arange(n_vars - 1, -1, -1, dtype=np.uint32)
+    return ((codes[:, None] >> shifts) & 1).astype(np.uint8)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -134,6 +152,25 @@ class NKComponent:
         weights[columns, np.arange(n)[:, None]] = 2.0 ** np.arange(k, -1, -1)
         offsets = np.arange(n, dtype=np.intp) << (k + 1)
         return _freeze(weights), _freeze(offsets)
+
+    def _code_tables(self, low_bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """(low, shift): the solution with code c (variable 0 the most
+        significant of N bits) reads entry ``(low[c % 2^L] + shift[c >> L])[v]``
+        of ``tables.ravel()`` for variable v, L being ``low_bits``.
+
+        Each table index is a sum of distinct powers of two, one per set bit
+        (``_index_weights``), so it splits exactly into the share of the last
+        L variables, which repeats in every block of 2^L consecutive codes,
+        and the share of the first N - L variables plus the variable's table
+        offset, which is constant inside a block.  ``low`` is (2^L, N) and
+        ``shift`` (2^(N-L), N), both intp.
+        """
+        weights, offsets = self._index_weights
+        weights = weights.astype(np.intp)
+        split = self.n_vars - low_bits
+        low = _bit_matrix(np.arange(1 << low_bits), low_bits) @ weights[split:]
+        shift = _bit_matrix(np.arange(1 << split), split) @ weights[:split] + offsets
+        return low, shift
 
     def contributions(self, solutions: np.ndarray) -> np.ndarray:
         """Per-variable table lookups for a (B, N) float64 batch of 0/1
@@ -253,6 +290,30 @@ def evaluate_batch(instance: MNKInstance, solutions: np.ndarray) -> np.ndarray:
         for m, comp in enumerate(instance.components):
             out[start : start + len(block), m] = comp.contributions(block).mean(axis=1)
     return out
+
+
+def _code_objectives(
+    instance: MNKInstance, low_bits: int, chunk: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, objectives) for every ``chunk`` consecutive codes from 0 to
+    2^N - 1, where ``objectives`` is the (rows, M) matrix of codes
+    ``start, start + 1, ...``; 2^``low_bits`` must divide ``chunk`` and 2^N.
+
+    Block b of 2^L codes reads ``flat[low + shift[b]]`` from each
+    component's ``_code_tables``: the same table entries as
+    ``evaluate_batch`` on the block's bit matrix, in the same C-contiguous
+    (rows, N) layout, reduced by the same ``.mean(axis=1)``, so the
+    objectives are equal byte for byte without building a bit matrix.
+    """
+    tables = [(comp.tables.ravel(), *comp._code_tables(low_bits)) for comp in instance.components]
+    total, block = 1 << instance.n_vars, 1 << low_bits
+    for start in range(0, total, chunk):
+        objs = np.empty((min(chunk, total - start), instance.m_objectives), dtype=np.float64)
+        for row in range(0, objs.shape[0], block):
+            b = (start + row) >> low_bits
+            for m, (flat, low, shift) in enumerate(tables):
+                objs[row : row + block, m] = flat[low + shift[b]].mean(axis=1)
+        yield start, objs
 
 
 def _instance_to_dict(instance: MNKInstance) -> dict:

@@ -39,6 +39,9 @@ Locked:
   of three fronts of 129 to 1,475 points;
 * ``enumerate_pareto`` at N=17, M=8, K=10, whose two chunks reduce to a
   front of 12,344 points;
+* ``enumerate_pareto`` alone at N from 1 to 18 (either side of 11 and of
+  16 bits), with K=0, K=N-1 and M=1 among the cases, and at N=10 with
+  ``_CHUNK`` cut to 64 so sixteen chunks run;
 * ``regression_report`` bytes, as ``regression.json`` writes them, on
   seeded feature and ert tables: a grid where every feature varies (the
   multiple model and its elimination ladder), a single-K grid, and a
@@ -56,6 +59,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mnkbench import enumeration
 from mnkbench.analysis import estimate_ert, regression_report
 from mnkbench.bayesnet import k2_learn
 from mnkbench.enumeration import enumerate_pareto
@@ -355,6 +359,71 @@ def test_m8_enumeration_locked():
     _feed_array(digest, pareto.objectives)
     assert pareto.size == 12344
     assert digest.hexdigest() == "f6b47a80baadf59daa9f148c2407cf2866a0fa5a60a8d71a116237f1cacb9966"
+
+
+# (instance seed, N, M, K, chunk) -> digest of enumerate_pareto's instance id,
+# solutions and objectives; a chunk of None keeps enumeration._CHUNK.  The
+# cases cover K=0, K=N-1, M=1, N from 1 to 18 on both sides of 11 and 16,
+# and sixteen 64-code chunks at N=10
+ENUMERATE_CASES = {
+    "n1-m2-k0": (
+        (2, 1, 2, 0, None),
+        "e6524da97d7c3daccccde75278638d09e97c18a4442976db9ff857a01acd8e37",
+    ),
+    "n5-m2-k0": (
+        (2, 5, 2, 0, None),
+        "a5da33db50723ec32260f007bd3f3afd6b8a5c4ad65200ad2456bac049dce04b",
+    ),
+    "n5-m3-k4": (
+        (3, 5, 3, 4, None),
+        "d98239426a37256cfd57ab757054cba734346940ca9aff4a33793db014dcf1bd",
+    ),
+    "n10-m3-k3-chunk64": (
+        (5, 10, 3, 3, 64),
+        "9003bd99cb9bbf71b5ec37d7fd4064f0fd046a99de3940ea87bee22d4b656ea9",
+    ),
+    "n11-m1-k10": (
+        (4, 11, 1, 10, None),
+        "574fecd5c773ded68ec359eccbdf5e7d2e8b3cdc737bd68b735def1bd6208fc7",
+    ),
+    "n11-m4-k3": (
+        (4, 11, 4, 3, None),
+        "b792d4c23f374bbc6cbf9371cedf4b91f41d1ca464c2e7f04872561125fb8176",
+    ),
+    "n12-m2-k11": (
+        (6, 12, 2, 11, None),
+        "fbbe9ab4a41f0d07e08ebc07860870396a91161b2e6aeeb987d573aa834122b8",
+    ),
+    "n12-m1-k0": (
+        (6, 12, 1, 0, None),
+        "91a9b61b5bf7720783063ace814bd419c08f02da1fe50fb5facaeff7eaadbcb2",
+    ),
+    "n16-m5-k5": (
+        (8, 16, 5, 5, None),
+        "aba89bd3cb13aa75963ec82e8fcf7fe3deec5bc242afb9ca263181bb4ad02045",
+    ),
+    "n18-m2-k2": (
+        (7, 18, 2, 2, None),
+        "0cf71f38910de05403bc0675e4ab58055db70e8c22ee015d55dd156ad0863441",
+    ),
+    "n18-m3-k10": (
+        (7, 18, 3, 10, None),
+        "0a69df3143758dada192fb78ddeb9fe0de368f6ae84da90029166fa823dfd08b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATE_CASES))
+def test_enumerate_pareto_locked(monkeypatch, case):
+    (seed, n, m, k, chunk), expected = ENUMERATE_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    pareto = enumerate_pareto(generate_instance(seed, n, m, k))
+    digest = hashlib.sha256()
+    digest.update(pareto.instance_id.encode())
+    _feed_array(digest, pareto.solutions)
+    _feed_array(digest, pareto.objectives)
+    assert digest.hexdigest() == expected
 
 
 # grid -> (seed, instances, K values, M values) of the seeded feature tables

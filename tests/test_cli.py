@@ -508,6 +508,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["--config", str(missing), "gen"]) == 1
 
 
+def test_all_names_a_grid_without_runs(tmp_path, capsys):
+    # runs_per_instance 0 is a valid config; report must say why no ert exists
+    config = _tiny_config(tmp_path, runs_per_instance=0, landscapes_per_cell=1)
+    cfg_path = _write_config(tmp_path, config)
+    assert main(["--config", str(cfg_path), "all"]) == 1
+    err = capsys.readouterr().err
+    assert "runs_per_instance is 0" in err
+    assert "execute" not in err
+
+
 def test_cli_seed_override(tmp_path):
     config = _tiny_config(tmp_path, landscapes_per_cell=1)
     cfg_path = _write_config(tmp_path, config)

@@ -8,6 +8,7 @@ from mnkbench.landscape import (
     MNKInstance,
     NKComponent,
     bits_to_string,
+    bits_to_strings,
     evaluate_batch,
     generate_instance,
     load_instance,
@@ -252,3 +253,12 @@ def test_bitstring_round_trip():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     assert bits_to_string(bits) == "10110"
     assert np.array_equal(string_to_bits("10110"), bits)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+@pytest.mark.parametrize("shape", [(0, 5), (1, 1), (7, 18), (300, 13)])
+def test_bits_to_strings_matches_per_row_text(dtype, shape):
+    bits = np.random.default_rng(shape).integers(0, 2, size=shape).astype(dtype)
+    expected = ["".join("1" if b else "0" for b in row) for row in bits]
+    assert bits_to_strings(bits) == expected
+    assert [bits_to_string(row) for row in bits] == expected

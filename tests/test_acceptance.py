@@ -39,12 +39,12 @@ from mnkbench.experiment import (
     cmd_run,
     instance_ids,
     _load_features,
-    _load_run_records,
     _parse_instance_id,
 )
 from mnkbench.features import hypervolume, monte_carlo_hypervolume
 from mnkbench.landscape import evaluate_batch, generate_instance
 from mnkbench.optimizers import RunParams, binary_tournament
+from mnkbench.store import read_run_records
 
 import oracles
 
@@ -309,7 +309,7 @@ def full_scale_campaign(tmp_path_factory):
 def _campaign_ert(config):
     return [
         estimate_ert(
-            _load_run_records(config, algorithm, iid),
+            read_run_records(config, algorithm, iid),
             config.resolved_t_max,
             instance_id=iid,
             algorithm=algorithm,

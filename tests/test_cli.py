@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnkbench import experiment
+from mnkbench import experiment, store
 from mnkbench.cli import main
 from mnkbench.enumeration import enumerate_pareto, load_pareto_json
 from mnkbench.experiment import (
@@ -217,7 +217,7 @@ def test_run_crash_while_saving_model_leaves_no_record(tmp_path, monkeypatch):
     def crash(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(experiment, "save_network_json", crash)
+    monkeypatch.setattr(store, "save_network_json", crash)
     with pytest.raises(OSError, match="disk full"):
         cmd_run(config, "mboa")
     assert _successful_model_runs(config) == []
@@ -227,6 +227,28 @@ def test_run_crash_while_saving_model_leaves_no_record(tmp_path, monkeypatch):
     assert records
     for path in records:
         assert path.with_suffix(".model.json").exists()
+
+
+def test_enumerate_resumes_after_a_failed_pareto_csv_write(tmp_path, monkeypatch):
+    # the JSON file marks a Pareto set done, so it must not precede the CSV
+    clean = _tiny_config(tmp_path, output_dir=str(tmp_path / "clean"))
+    config = _tiny_config(tmp_path)
+    for cfg in (clean, config):
+        cmd_gen(cfg)
+    cmd_enumerate(clean)
+
+    def crash(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store, "save_pareto_csv", crash)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_enumerate(config)
+    monkeypatch.undo()
+    cmd_enumerate(config)
+    tree = _tree_bytes(Path(config.output_dir) / "pareto")
+    names = sorted(f"{iid}{ext}" for iid in instance_ids(config) for ext in (".csv", ".json"))
+    assert sorted(tree) == names
+    assert tree == _tree_bytes(Path(clean.output_dir) / "pareto")
 
 
 def test_pmf_view_rejects_missing_model(tmp_path, capsys):
@@ -403,8 +425,8 @@ def test_report_reads_each_feature_file_once(tmp_path, monkeypatch):
         reads.append(path)
         return read_features(path)
 
-    read_features = experiment._read_features
-    monkeypatch.setattr(experiment, "_read_features", counted)
+    read_features = store._read_features
+    monkeypatch.setattr(store, "_read_features", counted)
     cmd_report(config)
     assert len(reads) == len(instance_ids(config))
     assert _tree_bytes(reports) == before
@@ -429,8 +451,8 @@ def test_report_reads_each_run_record_once(tmp_path, monkeypatch):
         reads.append(path)
         return read_run_record(path)
 
-    read_run_record = experiment._read_run_record
-    monkeypatch.setattr(experiment, "_read_run_record", counted)
+    read_run_record = store._read_run_record
+    monkeypatch.setattr(store, "_read_run_record", counted)
     cmd_report(config)
     assert sorted(reads) == sorted(records + modelless)
     assert _tree_bytes(root / "reports") == before
